@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .entanglement import (
     BipartiteMeasure,
+    _tangle_bound,
     dicke_single_qubit_entanglement,
     source_entanglement,
 )
@@ -110,8 +111,8 @@ def _cmd_prob(args) -> dict:
         raise UsageError("exactly one of --A and --sweep is required")
     if args.sweep is not None:
         start, end, steps = args.sweep
-        if steps != int(steps):
-            raise UsageError("--sweep STEPS must be an integer")
+        if not math.isfinite(steps) or steps != int(steps):
+            raise UsageError("--sweep STEPS must be a finite integer")
         steps = int(steps)
         if steps < 1 or not 0.0 <= start <= end <= 1.0:
             raise UsageError("--sweep needs 0 <= start <= end <= 1 and steps >= 1")
@@ -209,7 +210,7 @@ def _cmd_entanglement(args) -> dict:
     source_value = source_entanglement(SourceState.from_p00(point.p00_opt), kind)
     dicke_value = dicke_single_qubit_entanglement(spec, kind)
     locc_rhs = point.p_opt * dicke_value
-    tangle_bound = 4.0 * spec.k / (asymptotic_expansion(spec) * spec.n)
+    tangle_bound = _tangle_bound(spec)
     rows = [[spec.n, spec.k, args.measure, source_value, dicke_value, locc_rhs,
              source_value > locc_rhs, tangle_bound]]
     return _envelope(

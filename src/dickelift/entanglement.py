@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .optimize import Regime, optimize_source, asymptotic_expansion, critical_threshold
+from .optimize import Regime, _classify, asymptotic_expansion, optimize_source
 from .probabilities import DickeSpec, SourceState, _as_int
 
 __all__ = [
@@ -138,6 +138,10 @@ def check_locc_bound(spec: DickeSpec, kind: BipartiteMeasure) -> LoccBoundReport
     )
 
 
+def _tangle_bound(spec: DickeSpec) -> float:
+    return 4.0 * spec.k / (asymptotic_expansion(spec) * spec.n)
+
+
 def tangle_decay_bound(spec: DickeSpec) -> tuple[float, float]:
     """(bound, actual) for the qubit-vs-rest 2-tangle of a Dicke state.
 
@@ -145,11 +149,10 @@ def tangle_decay_bound(spec: DickeSpec) -> tuple[float, float]:
     is the exact 4 (k/n)(1 - k/n). The actual value stays below the bound
     throughout the supercritical regime, decaying as 1/n.
     """
-    thr = critical_threshold(spec.k)
-    if spec.n <= thr.eta_c:
+    regime = _classify(spec)
+    if regime is not Regime.SUPERCRITICAL:
         raise ValueError(
-            f"n={spec.n} is not above the threshold eta_c={thr.eta_c} for k={spec.k}"
+            f"n={spec.n}, k={spec.k} is {regime.value}; the bound needs (n - 2k)^2 > n"
         )
-    bound = 4.0 * spec.k / (asymptotic_expansion(spec) * spec.n)
     actual = 4.0 * (spec.k / spec.n) * (1.0 - spec.k / spec.n)
-    return bound, actual
+    return _tangle_bound(spec), actual

@@ -1,10 +1,14 @@
 """Optimal source weight for each Dicke class and its critical behaviour.
 
-The success probability of class (n, k), viewed as a function of the
-source weight p00, keeps a single maximum at 1/2 for small n and splits
-into two mirror maxima once n crosses eta_c(k) = 2k + 1/2 + sqrt(2k + 1/4).
-This module locates the maxima, classifies the regime, and evaluates the
-large-n limits: optimal weight k/n and limiting probability k^k e^-k / k!.
+The success probability P of class (n, k), as a function of the source
+weight x = p00, keeps a single maximum at 1/2 for small n and splits into
+two mirror maxima once n crosses eta_c(k) = 2k + 1/2 + sqrt(2k + 1/4).
+On (k/n, 1/2), dP/dx has the sign of
+g(x) = (n - 2k) logit(x) - log(nx - k) + log(n - k - nx), and g'(1/2) that
+of the integer (n - 2k)^2 - n, whose larger root in n is eta_c. So the
+regime is the sign of that integer, and the lower maximum is the root of g,
+bisected to full double precision. The large-n limits are the optimal
+weight k/n and the probability k^k e^-k / k!.
 """
 
 from __future__ import annotations
@@ -26,11 +30,6 @@ __all__ = [
     "asymptotic_expansion",
     "asymptotic_source",
 ]
-
-_A_EPS = 1e-15  # open-interval guard for the line search
-_A_TOL = 1e-12  # required accuracy of the reported optimum
-_FD_STEP = 5e-5
-_FD_BAND = 1e-6  # |d2P| below this counts as flat
 
 
 class Regime(str, Enum):
@@ -94,126 +93,55 @@ class BifurcationPoint:
 
 
 def _classify(spec: DickeSpec) -> Regime:
-    thr = critical_threshold(spec.k)
-    if thr.eta_is_integer:
-        if spec.n < thr.n_c:
-            return Regime.SUBCRITICAL
-        if spec.n == thr.n_c:
-            return Regime.CRITICAL
-        return Regime.SUPERCRITICAL
-    # non-integer eta_c is irrational, so n never lands on it
-    return Regime.SUBCRITICAL if spec.n < thr.eta_c else Regime.SUPERCRITICAL
+    evidence = (spec.n - 2 * spec.k) ** 2 - spec.n
+    if evidence < 0:
+        return Regime.SUBCRITICAL
+    if evidence == 0:
+        return Regime.CRITICAL
+    return Regime.SUPERCRITICAL
 
 
-def _second_derivative_at_half(spec: DickeSpec, h: float = _FD_STEP) -> float:
-    center = folded_prob(spec, 0.5)
-    return (folded_prob(spec, 0.5 + h) - 2.0 * center + folded_prob(spec, 0.5 - h)) / h**2
+def _lower_root(n: int, k: int) -> float:
+    """Bisect g on [k/n, 1/2] until the bracket holds two adjacent doubles.
 
-
-def _derivative_sign(spec: DickeSpec, p00: float) -> float:
-    """Sign of d(folded_prob)/d(p00), from the log-domain closed form.
-
-    The four monomial terms are combined after factoring out the largest
-    log magnitude, so the sign survives even when every term underflows.
+    g > 0 means below the root; g <= 0, the trivial zero at 1/2 included,
+    means above it. dP/dx > 0 wherever nx <= k, where g is undefined.
     """
-    n, k = spec.n, spec.k
-    a = math.log(p00)
-    b = math.log1p(-p00)
-    if 2 * k == n:
-        # binom * k * p00^(k-1) (1-p00)^(k-1) ((1-p00) - p00): sign of 1 - 2 p00
-        return math.copysign(1.0, 1.0 - 2.0 * p00) if p00 != 0.5 else 0.0
-    terms = [
-        (1.0, math.log(n - k) + (n - k - 1) * a + k * b),
-        (-1.0, math.log(k) + (n - k) * a + (k - 1) * b),
-        (1.0, math.log(k) + (k - 1) * a + (n - k) * b),
-        (-1.0, math.log(n - k) + k * a + (n - k - 1) * b),
-    ]
-    top = max(log for _, log in terms)
-    if top == float("-inf"):
-        return 0.0
-    s = sum(sign * math.exp(log - top) for sign, log in terms)
-    return math.copysign(1.0, s) if s != 0.0 else 0.0
-
-
-def _golden_section_max(spec: DickeSpec, lo: float, hi: float, tol: float) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1 = folded_prob(spec, x1)
-    f2 = folded_prob(spec, x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = folded_prob(spec, x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = folded_prob(spec, x1)
-    return 0.5 * (lo + hi)
-
-
-def _refine_by_derivative(spec: DickeSpec, x: float) -> float:
-    """Bisect the closed-form derivative to pin the maximum to _A_TOL."""
-    width = 1e-8
-    lo = hi = None
-    while width < 0.25:
-        cand_lo = max(_A_EPS, x - width)
-        cand_hi = min(0.5 - _A_EPS, x + width)
-        s_lo = _derivative_sign(spec, cand_lo)
-        s_hi = _derivative_sign(spec, cand_hi)
-        if s_lo == 0.0:
-            return cand_lo
-        if s_hi == 0.0:
-            return cand_hi
-        if s_lo > 0.0 > s_hi:
-            lo, hi = cand_lo, cand_hi
-            break
-        width *= 4.0
-    if lo is None:
-        return x
-    while hi - lo > _A_TOL:
+    lo, hi = k / n, 0.5
+    while True:
         mid = 0.5 * (lo + hi)
-        s = _derivative_sign(spec, mid)
-        if s == 0.0:
-            return mid
-        if s > 0.0:
+        if mid == lo or mid == hi:
+            return lo
+        if n * mid <= k or (
+            (n - 2 * k) * (math.log(mid) - math.log1p(-mid))
+            - math.log(n * mid - k) + math.log(n - k - n * mid) > 0.0
+        ):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def optimize_source(spec: DickeSpec) -> BifurcationPoint:
     """Maximize the class-(n, k) success probability over the source weight.
 
-    Sub- and critical regimes report the single maximum at 1/2; the
-    supercritical regime locates the lower-branch maximum on (0, 1/2) by
-    golden-section search refined with derivative bisection and emits the
-    mirror branch explicitly. The regime label is cross-checked against
-    the finite-difference curvature at 1/2.
+    Sub- and critical regimes report the single maximum at 1/2. In the
+    supercritical regime the lower branch x is the root of g on (k/n, 1/2)
+    and the mirror branch is 1 - x; an x outside [k/n, 1/2) or not above
+    P(1/2) raises RuntimeError.
     """
     regime = _classify(spec)
-    if regime is Regime.SUPERCRITICAL:
-        x = _golden_section_max(spec, _A_EPS, 0.5 - _A_EPS, 1e-10)
-        x = _refine_by_derivative(spec, x)
-        p_low = folded_prob(spec, x)
-        mirror = 1.0 - x
-        branches = ((x, p_low), (mirror, folded_prob(spec, mirror)))
-    else:
-        branches = ((0.5, folded_prob(spec, 0.5)),)
-
-    d2 = _second_derivative_at_half(spec)
-    consistent = {
-        Regime.SUBCRITICAL: d2 < _FD_BAND,
-        Regime.CRITICAL: abs(d2) < _FD_BAND,
-        Regime.SUPERCRITICAL: d2 > -_FD_BAND,
-    }[regime]
-    if not consistent:
+    if regime is not Regime.SUPERCRITICAL:
+        return BifurcationPoint(n=spec.n, k=spec.k, regime=regime,
+                                branches=((0.5, folded_prob(spec, 0.5)),))
+    x = _lower_root(spec.n, spec.k)
+    p_low = folded_prob(spec, x)
+    if not (spec.k / spec.n <= x < 0.5 and p_low > folded_prob(spec, 0.5)):
         raise RuntimeError(
-            f"regime {regime.value} disagrees with curvature {d2!r} at p00 = 1/2 "
-            f"for n={spec.n}, k={spec.k}"
+            f"lower branch p00 = {x!r} for n={spec.n}, k={spec.k} is not a maximum "
+            f"in [k/n, 1/2) above P(1/2)"
         )
+    mirror = 1.0 - x
+    branches = ((x, p_low), (mirror, folded_prob(spec, mirror)))
     return BifurcationPoint(n=spec.n, k=spec.k, regime=regime, branches=branches)
 
 

@@ -16,7 +16,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "SourceState",
@@ -207,7 +206,9 @@ def _log_raw_all_k(n: int, p00: float) -> np.ndarray:
         return out
     k = np.arange(n + 1)
     lo = np.minimum(k, n - k)
-    log_binom = gammaln(n + 1) - gammaln(lo + 1) - gammaln(n - lo + 1)
+    # log j! for j = 0..n, from the lgamma the scalar path uses
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    log_binom = log_fact[n] - log_fact[lo] - log_fact[n - lo]
     out = log_binom + (n - k) * math.log(p00) + k * math.log1p(-p00)
     np.minimum(out, 0.0, out=out)
     return out

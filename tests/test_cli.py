@@ -58,9 +58,15 @@ class TestProb:
         )
 
     def test_invalid_spec_exits_2(self):
-        proc = run_cli("prob", "--n", "3", "--k", "5", "--A", "0.5")
-        assert proc.returncode == 2
-        assert proc.stderr.strip()
+        for args in (
+            ("--k", "5", "--A", "0.5"),
+            ("--k", "1", "--sweep", "0", "1", "nan"),
+            ("--k", "1", "--sweep", "0", "1", "inf"),
+            ("--k", "1", "--sweep", "0", "1", "1e400"),
+        ):
+            proc = run_cli("prob", "--n", "3", *args)
+            assert proc.returncode == 2, (args, proc.stderr)
+            assert proc.stderr.strip()
 
 
 class TestBifurcation:
@@ -212,3 +218,14 @@ class TestOutputAndFormats:
     def test_version_flag(self):
         proc = run_cli("--version")
         assert proc.returncode == 0 and proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import dickelift, sys; print([m for m in sys.modules if m.startswith('scipy')])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

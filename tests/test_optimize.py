@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,23 @@ def grid_success_prob(n, k, weights):
     return value
 
 
+def mp_lower_root(n, k):
+    """Root of g(x) = (n-2k) logit(x) - log(nx-k) + log(n-k-nx) on (k/n, 1/2), at 50 digits."""
+    with mpmath.workdps(50):
+        n, k = mpmath.mpf(n), mpmath.mpf(k)
+        lo, hi = k / n, mpmath.mpf(0.5)
+        for _ in range(170):  # bracket width 2^-171, far below any tolerance used here
+            mid = (lo + hi) / 2
+            if n * mid <= k or (
+                (n - 2 * k) * (mpmath.log(mid) - mpmath.log(1 - mid))
+                - mpmath.log(n * mid - k) + mpmath.log(n - k - n * mid) > 0
+            ):
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 def fd_first(spec, a, h=1e-6):
     return (folded_prob(spec, a + h) - folded_prob(spec, a - h)) / (2 * h)
 
@@ -50,13 +68,22 @@ class TestCriticalThreshold:
         assert thr.eta_c == pytest.approx(9.0, abs=1e-12)
         assert thr.n_c == 9 and thr.eta_is_integer
 
-    @pytest.mark.parametrize("k", range(1, 30))
+    @pytest.mark.parametrize("k", range(1, 201))
     def test_invariants(self, k):
         thr = critical_threshold(k)
         assert thr.n_c == math.ceil(thr.eta_c)
         assert thr.eta_c > 2 * k
         # integer thresholds occur exactly at triangular k
-        assert thr.eta_is_integer == (k in {1, 3, 6, 10, 15, 21, 28})
+        assert thr.eta_is_integer == (k in {j * (j + 1) // 2 for j in range(1, 20)})
+        # the optimizer's integer regime test splits at the same n
+        for n in range(2 * k, thr.n_c + 2):
+            if n < thr.n_c:
+                expected = Regime.SUBCRITICAL
+            elif n == thr.n_c and thr.eta_is_integer:
+                expected = Regime.CRITICAL
+            else:
+                expected = Regime.SUPERCRITICAL
+            assert optimize_source(DickeSpec(n, k)).regime is expected, (n, k)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -93,6 +120,13 @@ class TestOptimizeSource:
         assert abs(point.p00_opt - weights[top]) < 1e-5
         assert point.p_opt >= values[top] - 1e-12
         assert point.p_opt == pytest.approx(values[top], rel=1e-9)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_weight_against_mpmath_root(self, n):
+        for k in range(1, 9):
+            x = optimize_source(DickeSpec(n, k)).p00_opt
+            root = mp_lower_root(n, k)
+            assert abs((x - root) / root) < 1e-13, (n, k, x, root)
 
     def test_mirror_branches(self):
         point = optimize_source(DickeSpec(9, 2))
