@@ -4,20 +4,27 @@ Each run consumes n pairs, draws a herald outcome from the closed-form
 law, and records the folding bookkeeping: the canonical class is
 min(k, n-k), a collective bit flip is logged whenever k > n-k, and the
 separable outcomes 0 and n are failures. The generator is the
-counter-based Philox keyed by the caller's seed, so identical seeds give
-identical record lists and run-index ranges can be replayed independently.
+counter-based Philox keyed by the caller's seed, and run i uses position i
+of its stream, so a batch is a pure function of (n, p00, runs, seed).
+Batches hold the outcomes as one integer array; per-run records are built
+only when a caller indexes or iterates.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .probabilities import _as_int, _check_p00, distribution
 
-__all__ = ["RunRecord", "YieldReport", "sample_runs", "yield_report"]
+__all__ = ["RunBatch", "RunRecord", "YieldReport", "sample_runs", "yield_report"]
+
+# Uniforms drawn per Generator call. Chunked calls return the same doubles
+# as one call, so the size bounds memory without touching the stream.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,6 +39,55 @@ class RunRecord:
     @property
     def is_failure(self) -> bool:
         return self.folded_k is None
+
+
+class RunBatch(Sequence):
+    """Protocol runs as columns: run i gave herald outcome raw[i] in 0..n.
+
+    A read-only sequence of RunRecord; indexing, slicing and iteration
+    build the records on demand. Two batches are equal when their n and
+    outcomes are.
+    """
+
+    __slots__ = ("n", "raw")
+
+    def __init__(self, n: int, raw: np.ndarray):
+        self.n = n
+        self.raw = raw
+
+    @property
+    def folded_k(self) -> np.ndarray:
+        """Canonical class min(k, n-k) of each run; 0 marks the failures."""
+        return np.minimum(self.raw, self.n - self.raw)
+
+    @property
+    def bitflip_applied(self) -> np.ndarray:
+        """Whether the fold of each run applied the collective bit flip."""
+        return self.raw > self.n - self.raw
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, index):
+        runs = range(len(self))[index]
+        if isinstance(index, slice):
+            return list(self._records(runs, self.raw[index]))
+        return next(self._records((runs,), self.raw[runs:runs + 1]))
+
+    def __iter__(self) -> Iterator[RunRecord]:
+        return self._records(range(len(self)), self.raw)
+
+    def _records(self, indices, raw: np.ndarray) -> Iterator[RunRecord]:
+        part = RunBatch(self.n, raw)
+        folded = [c or None for c in part.folded_k.tolist()]
+        return map(RunRecord, indices, raw.tolist(), folded, part.bitflip_applied.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, RunBatch):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.raw, other.raw)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -50,12 +106,26 @@ class YieldReport:
     pairs_per_dicke: float
 
 
-def sample_runs(n, p00, runs, seed) -> list[RunRecord]:
+def _outcome_chunks(law: np.ndarray, runs: int, seed: int) -> Iterator[np.ndarray]:
+    """Herald outcomes of runs 0, 1, ..., runs - 1, at most _CHUNK at a time.
+
+    Inverse CDF over the outcomes of law. One Generator serves every chunk,
+    so run i always takes position i of the Philox stream keyed by seed.
+    """
+    cdf = np.cumsum(law)
+    cdf[-1] = 1.0  # guard the top bin against roundoff
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for start in range(0, runs, _CHUNK):
+        yield np.searchsorted(cdf, rng.random(min(_CHUNK, runs - start)), side="right")
+
+
+def sample_runs(n, p00, runs, seed) -> RunBatch:
     """Draw independent protocol runs from the closed-form outcome law.
 
-    Outcomes are sampled by inverse CDF over the n + 1 herald values; the
-    uniform variate of run i is position i of the Philox stream keyed by
-    seed, which makes the record list a pure function of (n, p00, runs, seed).
+    Run i heralds searchsorted(cdf, u[i], side="right"), where cdf is the
+    cumulative sum of distribution(n, p00).raw with its last entry set to 1
+    and u = Generator(Philox(key=seed)).random(runs). The batch is a pure
+    function of (n, p00, runs, seed).
     """
     n = _as_int(n, "n")
     runs = _as_int(runs, "runs")
@@ -66,48 +136,53 @@ def sample_runs(n, p00, runs, seed) -> list[RunRecord]:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     p00 = _check_p00(p00)
 
-    cdf = np.cumsum(distribution(n, p00).raw)
-    cdf[-1] = 1.0  # guard the top bin against roundoff
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(runs)
-    outcomes = np.searchsorted(cdf, u, side="right")
-
-    records = []
-    for i, k in enumerate(outcomes.tolist()):
-        canonical = min(k, n - k)
-        records.append(
-            RunRecord(
-                run_index=i,
-                raw_outcome_k=k,
-                folded_k=canonical if canonical >= 1 else None,
-                bitflip_applied=k > n - k,
-            )
-        )
-    return records
+    raw = np.concatenate(list(_outcome_chunks(distribution(n, p00).raw, runs, seed)))
+    raw.flags.writeable = False
+    return RunBatch(n, raw)
 
 
-def yield_report(records: list[RunRecord], n) -> YieldReport:
-    """Summarize a batch of runs into counts, frequencies, and pair cost."""
-    n = _as_int(n, "n")
-    if not records:
-        raise ValueError("records must be nonempty")
-    runs = len(records)
-    raw_counts = dict.fromkeys(range(n + 1), 0)
-    dicke_produced: dict[int, int] = {}
-    failures = 0
-    for rec in records:
-        raw_counts[rec.raw_outcome_k] += 1
-        if rec.is_failure:
-            failures += 1
-        else:
-            dicke_produced[rec.folded_k] = dicke_produced.get(rec.folded_k, 0) + 1
-    total_dicke = runs - failures
+def _report(counts: list[int], n: int) -> YieldReport:
+    """The YieldReport of a batch whose outcome k occurred counts[k] times."""
+    runs = sum(counts)
+    produced = {j: counts[j] + (counts[n - j] if 2 * j != n else 0)
+                for j in range(1, n // 2 + 1)}
+    dicke_produced = {j: c for j, c in produced.items() if c}
+    total_dicke = sum(dicke_produced.values())
     pairs_consumed = n * runs
     return YieldReport(
         runs=runs,
         pairs_consumed=pairs_consumed,
-        dicke_produced=dict(sorted(dicke_produced.items())),
-        failures=failures,
-        empirical_probs={k: c / runs for k, c in raw_counts.items()},
+        dicke_produced=dicke_produced,
+        failures=runs - total_dicke,
+        empirical_probs={k: c / runs for k, c in enumerate(counts)},
         pairs_per_dicke=pairs_consumed / total_dicke if total_dicke else math.inf,
     )
+
+
+def yield_report(records: Sequence[RunRecord], n) -> YieldReport:
+    """Summarize a batch of runs into counts, frequencies, and pair cost.
+
+    records is a RunBatch or any sequence of RunRecord. Only the raw herald
+    outcomes are read; classes and failures follow from them.
+    """
+    n = _as_int(n, "n")
+    if not records:
+        raise ValueError("records must be nonempty")
+    if isinstance(records, RunBatch):
+        if records.n != n:
+            raise ValueError(f"batch was drawn for n = {records.n}, not {n}")
+        raw = records.raw
+    else:
+        raw = np.fromiter((r.raw_outcome_k for r in records), np.int64, len(records))
+    counts = np.bincount(raw, minlength=n + 1)
+    if len(counts) > n + 1:
+        raise ValueError(f"outcome {len(counts) - 1} exceeds n = {n}")
+    return _report(counts.tolist(), n)
+
+
+def _streamed_report(law: np.ndarray, runs: int, seed: int) -> YieldReport:
+    """yield_report of the batch sample_runs draws, in O(_CHUNK + n) memory."""
+    counts = np.zeros(len(law), dtype=np.int64)
+    for chunk in _outcome_chunks(law, runs, seed):
+        counts += np.bincount(chunk, minlength=len(law))
+    return _report(counts.tolist(), len(law) - 1)

@@ -151,6 +151,18 @@ class TestSimulate:
         b = json.loads(run_cli("simulate", "--n", "3", "--A", "0.5", "--runs", "100", "--seed", "255").stdout)
         assert a["rows"] == b["rows"]
 
+    def test_rejects_runs_above_limit(self, monkeypatch, capsys):
+        import dickelift.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("the outcome law was computed")
+
+        monkeypatch.setattr(cli, "distribution", refuse)
+        for runs in ("1000000001", "1000000000000000"):
+            argv = ["simulate", "--n", "3", "--A", "0.5", "--runs", runs, "--seed", "1"]
+            assert cli.main(argv) == 2
+            assert "at most 1000000000" in capsys.readouterr().err
+
     def test_rejects_oversized_seed(self):
         proc = run_cli("simulate", "--n", "3", "--A", "0.5", "--runs", "10", "--seed", str(2**64))
         assert proc.returncode == 2

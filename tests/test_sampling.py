@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,13 +9,24 @@ from scipy.stats import chisquare
 
 from dickelift import (
     DickeSpec,
+    RunBatch,
+    RunRecord,
     distribution,
     folded_prob,
     sample_runs,
     yield_report,
 )
+from dickelift.sampling import _CHUNK, _streamed_report
 
 RUNS = 200_000
+
+# sha256 of the int64 outcomes, recorded when sample_runs still built one
+# RunRecord per run; they pin the seed -> outcome mapping bit for bit.
+PINNED_DIGESTS = {
+    (3, 0.5, 3000, 1): "5cadbd88028e7d3fd65163fbc9b9fbec80b9f4b437ca023899725c8c8dbad57c",
+    (12, 1 / 12, 3000, 7): "347ae97bc864e570c016a5d0a024ec9214cb125d0d597eec59892aed806091ac",
+    (100, 0.01, 3000, 11): "708664b257a8b76a7ccbfae905fe4fbacf94e87c5b67776424723b7a1dd342da",
+}
 
 
 def z_score(freq, p, runs):
@@ -121,3 +135,94 @@ class TestYieldReport:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             yield_report([], 3)
+
+
+def documented_outcomes(n, p00, runs, seed):
+    """The construction the sample_runs docstring states, in one draw."""
+    cdf = np.cumsum(distribution(n, p00).raw)
+    cdf[-1] = 1.0
+    u = np.random.Generator(np.random.Philox(key=seed)).random(runs)
+    return np.searchsorted(cdf, u, side="right")
+
+
+def reference_records(n, raw):
+    """The per-run loop that built sample_runs' records before batches."""
+    records = []
+    for i, k in enumerate(raw.tolist()):
+        canonical = min(k, n - k)
+        records.append(RunRecord(i, k, canonical if canonical >= 1 else None, k > n - k))
+    return records
+
+
+class TestSeedOutcomeMapping:
+    @pytest.mark.parametrize("config", sorted(PINNED_DIGESTS))
+    def test_pinned_digest(self, config):
+        raw = sample_runs(*config).raw
+        assert hashlib.sha256(raw.astype(np.int64).tobytes()).hexdigest() == PINNED_DIGESTS[config]
+        np.testing.assert_array_equal(raw, documented_outcomes(*config))
+
+    def test_chunked_draw_equals_one_draw(self):
+        # more than two chunks, with a length that is no multiple of the
+        # four 64-bit words a Philox counter step yields
+        runs = 2 * _CHUNK + 3
+        np.testing.assert_array_equal(sample_runs(9, 0.35, runs, 5).raw,
+                                      documented_outcomes(9, 0.35, runs, 5))
+
+    def test_streamed_counts_equal_batch_counts(self):
+        n, p00, runs, seed = 9, 0.35, 2 * _CHUNK + 3, 5
+        batch = sample_runs(n, p00, runs, seed)
+        streamed = _streamed_report(distribution(n, p00).raw, runs, seed)
+        counts = [round(f * runs) for f in streamed.empirical_probs.values()]
+        assert counts == np.bincount(batch.raw, minlength=n + 1).tolist()
+        assert streamed == yield_report(batch, n)
+
+
+def typed_fields(record):
+    return [(value, type(value)) for value in dataclasses.astuple(record)]
+
+
+class TestRunBatch:
+    N = 7
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return sample_runs(self.N, 0.4, 500, seed=9)
+
+    def test_records_match_reference_loop(self, batch):
+        expected = reference_records(self.N, batch.raw)
+        assert isinstance(batch, RunBatch) and len(batch) == 500
+        for i in (0, 250, -1):
+            assert typed_fields(batch[i]) == typed_fields(expected[i])
+        assert [typed_fields(r) for r in batch] == [typed_fields(r) for r in expected]
+        with pytest.raises(IndexError):
+            batch[500]
+
+    def test_slices(self, batch):
+        expected = reference_records(self.N, batch.raw)
+        for s in (slice(10, 20), slice(-5, None), slice(None, None, -7), slice(30, 10), slice(3, 400, 9)):
+            assert batch[s] == expected[s], s
+
+    def test_column_views(self, batch):
+        records = reference_records(self.N, batch.raw)
+        assert batch.folded_k.tolist() == [r.folded_k or 0 for r in records]
+        assert batch.bitflip_applied.tolist() == [r.bitflip_applied for r in records]
+
+    def test_equality(self, batch):
+        assert batch == sample_runs(self.N, 0.4, 500, seed=9)
+        assert batch != RunBatch(self.N + 1, batch.raw)
+        assert batch != list(batch)
+
+    def test_report_same_for_list_and_batch(self, batch):
+        report = yield_report(batch, self.N)
+        assert yield_report(list(batch), self.N) == report
+        for value in (report.runs, report.pairs_consumed, report.failures,
+                      *report.dicke_produced.values()):
+            assert type(value) is int
+        json.dumps(dataclasses.asdict(report))
+
+    def test_report_rejects_other_n(self, batch):
+        for n in (self.N - 1, self.N + 1):
+            with pytest.raises(ValueError):
+                yield_report(batch, n)
+        with pytest.raises(ValueError):
+            yield_report(list(batch), self.N - 1)
