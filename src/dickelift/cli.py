@@ -20,12 +20,7 @@ import tempfile
 from datetime import datetime, timezone
 
 from . import __version__
-from .entanglement import (
-    BipartiteMeasure,
-    _tangle_bound,
-    dicke_single_qubit_entanglement,
-    source_entanglement,
-)
+from .entanglement import BipartiteMeasure, _locc_sides, _tangle_bound
 from .optimize import asymptotic_expansion, bifurcation_diagram, optimize_source
 from .probabilities import DickeSpec, SourceState, distribution, folded_prob, raw_outcome_prob
 from .sampling import _streamed_report
@@ -209,9 +204,9 @@ def _cmd_entanglement(args) -> dict:
     spec = _spec_or_usage(args.n, args.k)
     kind = BipartiteMeasure(args.measure)
     point = optimize_source(spec)
-    source_value = source_entanglement(SourceState.from_p00(point.p00_opt), kind)
-    dicke_value = dicke_single_qubit_entanglement(spec, kind)
-    locc_rhs = point.p_opt * dicke_value
+    # the source as built: p00 goes through its amplitude and back
+    source_p00 = SourceState.from_p00(point.p00_opt).p00
+    source_value, dicke_value, locc_rhs = _locc_sides(spec, kind, source_p00, point.p_opt)
     tangle_bound = _tangle_bound(spec)
     rows = [[spec.n, spec.k, args.measure, source_value, dicke_value, locc_rhs,
              source_value > locc_rhs, tangle_bound]]

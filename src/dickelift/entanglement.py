@@ -110,6 +110,13 @@ class LoccBoundReport:
     holds: bool
 
 
+def _locc_sides(spec: DickeSpec, kind: BipartiteMeasure, p00: float,
+                p_success: float) -> tuple[float, float, float]:
+    """(lhs, dicke_value, rhs) of the LOCC inequality for a source of weight p00."""
+    dicke_value = dicke_single_qubit_entanglement(spec, kind)
+    return _qubit_measure(p00, kind), dicke_value, p_success * dicke_value
+
+
 def check_locc_bound(spec: DickeSpec, kind: BipartiteMeasure) -> LoccBoundReport:
     """Verify source entanglement > success probability x Dicke-qubit entanglement.
 
@@ -122,9 +129,7 @@ def check_locc_bound(spec: DickeSpec, kind: BipartiteMeasure) -> LoccBoundReport
             f"n={spec.n}, k={spec.k} is {point.regime.value}; the bound is "
             "evaluated in the supercritical regime"
         )
-    lhs = _qubit_measure(point.p00_opt, kind)
-    dicke_value = dicke_single_qubit_entanglement(spec, kind)
-    rhs = point.p_opt * dicke_value
+    lhs, dicke_value, rhs = _locc_sides(spec, kind, point.p00_opt, point.p_opt)
     return LoccBoundReport(
         n=spec.n,
         k=spec.k,

@@ -3,16 +3,20 @@
 This is the ground truth the closed-form engine is checked against, so it
 deliberately avoids binomial and power formulas: the global state is built
 by repeated tensor products, herald outcomes are Hamming weights obtained
-by bit counting, and reference Dicke states are normalized by enumeration.
+by bit counting, and sector sizes and Dicke normalizations come from
+enumeration.
 
 The measured register is perfectly correlated with the remote one, so a
 single array of 2^n amplitudes indexed by the remote bitstring represents
-the full pre-measurement state. Index bit conventions: site 0 is the most
-significant bit of the integer index.
+the full pre-measurement state. A heralded branch keeps only its weight-k
+sector: the weight-k bitstrings and their amplitudes, so the n + 1
+branches together hold 2^n amplitudes. Index bit conventions: site 0 is
+the most significant bit of the integer index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +43,18 @@ ORACLE_MAX_QUBITS = 20
 _NORM_TOL = 1e-12
 
 
+@functools.cache
 def _hamming_weights(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    """Read-only Hamming weight of every n-bit index (1 byte each)."""
+    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    weights.flags.writeable = False
+    return weights
+
+
+@functools.cache
+def _sector_sizes(n: int) -> tuple[int, ...]:
+    """Number of n-bit strings of each weight 0..n, counted by enumeration."""
+    return tuple(np.bincount(_hamming_weights(n), minlength=n + 1).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,30 +76,50 @@ class CorrelatedState:
 class ConditionalState:
     """Remote n-qubit state conditioned on herald outcome k.
 
-    Amplitudes are supported on bitstrings of Hamming weight outcome_k and
-    renormalized; probability is the weight of the branch. A branch of
-    probability zero carries an all-zero amplitude array.
+    `support` lists every bitstring of Hamming weight outcome_k in
+    increasing order and `sector` holds their renormalized amplitudes;
+    all other amplitudes are zero. probability is the weight of the
+    branch. A branch of probability zero carries an all-zero sector.
     """
 
     n: int
     outcome_k: int
-    amps: np.ndarray
+    support: np.ndarray
+    sector: np.ndarray
     probability: float
 
     def __post_init__(self):
-        if self.amps.shape != (1 << self.n,):
-            raise ValueError("amps must have 2^n entries")
-        if not 0 <= self.outcome_k <= self.n:
-            raise ValueError(f"outcome_k must lie in [0, n], got {self.outcome_k}")
+        n, k, support = self.n, self.outcome_k, self.support
+        if not 1 <= n <= ORACLE_MAX_QUBITS:
+            raise ValueError(f"n must lie in [1, {ORACLE_MAX_QUBITS}], got {n}")
+        if not 0 <= k <= n:
+            raise ValueError(f"outcome_k must lie in [0, n], got {k}")
         if not 0.0 <= self.probability <= 1.0 + _NORM_TOL:
             raise ValueError(f"probability {self.probability!r} outside [0, 1]")
-        off_support = _hamming_weights(self.n) != self.outcome_k
-        if np.any(self.amps[off_support] != 0):
-            raise ValueError("amplitudes leak outside the fixed-weight subspace")
+        if (support.ndim != 1 or support.shape != self.sector.shape
+                or not np.issubdtype(support.dtype, np.integer)):
+            raise ValueError("support and sector must be 1-D arrays of one length, "
+                             "support of integers")
+        if support.size != _sector_sizes(n)[k]:
+            raise ValueError(f"support has {support.size} entries; {_sector_sizes(n)[k]} "
+                             f"bitstrings of {n} bits have weight {k}")
+        if support[0] < 0 or support[-1] >= 1 << n:
+            raise ValueError(f"support must lie in [0, 2^{n})")
+        if (support[1:] <= support[:-1]).any():
+            raise ValueError("support must be strictly increasing")
+        if (np.bitwise_count(support) != k).any():
+            raise ValueError("support leaks outside the fixed-weight subspace")
         if self.probability > 0.0:
-            norm = float(np.sum(np.abs(self.amps) ** 2))
+            norm = float(np.sum(np.abs(self.sector) ** 2))
             if abs(norm - 1.0) > _NORM_TOL:
                 raise ValueError(f"conditional state norm^2 is {norm!r}, not 1")
+
+    @property
+    def amps(self) -> np.ndarray:
+        """Dense 2^n amplitude array, built on each access."""
+        dense = np.zeros(1 << self.n, dtype=complex)
+        dense[self.support] = self.sector
+        return dense
 
 
 def build_state(source: SourceState, n) -> CorrelatedState:
@@ -116,32 +150,46 @@ def measure_fock(state: CorrelatedState) -> list[ConditionalState]:
     Returns n + 1 conditional states; entry k has probability equal to the
     squared norm of the weight-k slice, and the probabilities sum to 1.
     """
-    weights = _hamming_weights(state.n)
+    n = state.n
+    # a stable sort by weight lists each sector's bitstrings in increasing order
+    order = np.argsort(_hamming_weights(n), kind="stable")
+    order.flags.writeable = False
     branches = []
-    for k in range(state.n + 1):
-        sliced = np.where(weights == k, state.amps, 0.0)
-        prob = float(np.sum(np.abs(sliced) ** 2))
+    start = 0
+    for k, size in enumerate(_sector_sizes(n)):
+        support = order[start:start + size]
+        start += size
+        sector = state.amps[support]
+        prob = float(np.sum(np.abs(sector) ** 2))
         if prob > 0.0:
-            sliced = sliced / math.sqrt(prob)
-        branches.append(
-            ConditionalState(n=state.n, outcome_k=k, amps=sliced, probability=prob)
-        )
+            sector /= math.sqrt(prob)
+        branches.append(ConditionalState(n=n, outcome_k=k, support=support,
+                                         sector=sector, probability=prob))
     return branches
 
 
 def dicke_state_amplitudes(n: int, k: int) -> np.ndarray:
     """Reference Dicke state: uniform amplitude on every weight-k bitstring."""
+    n, k = _as_int(n, "n"), _as_int(k, "k")
+    if not 1 <= n <= ORACLE_MAX_QUBITS:
+        raise ValueError(f"n must lie in [1, {ORACLE_MAX_QUBITS}], got {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, n] = [0, {n}], got {k}")
     support = _hamming_weights(n) == k
-    count = int(support.sum())
-    return support.astype(complex) / math.sqrt(count)
+    return support.astype(complex) / math.sqrt(_sector_sizes(n)[k])
 
 
 def dicke_fidelity(cond: ConditionalState) -> float:
-    """Overlap squared between a conditional state and the ideal Dicke state."""
+    """Overlap squared between a conditional state and the ideal Dicke state.
+
+    The Dicke state is uniform on the support, so the overlap is the sum
+    of the sector over the square root of its enumerated size; numpy's
+    pairwise sum keeps the rounding at O(log C(n, k)) eps.
+    """
     if cond.outcome_k in (0, cond.n):
         raise ValueError("outcome 0 or n is a separable branch, not a Dicke state")
-    ref = dicke_state_amplitudes(cond.n, cond.outcome_k)
-    return float(abs(np.vdot(ref, cond.amps)) ** 2)
+    overlap = np.sum(cond.sector) / math.sqrt(cond.support.size)
+    return float(abs(overlap) ** 2)
 
 
 def locc_fold(cond: ConditionalState) -> ConditionalState:
@@ -149,12 +197,12 @@ def locc_fold(cond: ConditionalState) -> ConditionalState:
 
     Weight n-k support becomes weight k; Dicke fidelity is preserved.
     """
-    # complement of index j is (2^n - 1) - j, so flipping reverses the array
-    flipped = cond.amps[::-1].copy()
+    # the complement of index j is (2^n - 1) - j, which reverses the order
     return ConditionalState(
         n=cond.n,
         outcome_k=cond.n - cond.outcome_k,
-        amps=flipped,
+        support=((1 << cond.n) - 1) - cond.support[::-1],
+        sector=cond.sector[::-1].copy(),
         probability=cond.probability,
     )
 

@@ -1,11 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dickelift.statevector as statevector
 from dickelift import (
     ORACLE_MAX_QUBITS,
+    ConditionalState,
     SourceState,
     build_state,
     dicke_fidelity,
@@ -147,6 +151,142 @@ class TestDickeReference:
         weights = np.array([bin(j).count("1") for j in range(16)])
         assert_allclose(np.abs(amps[weights == 2]) ** 2, np.full(6, 1 / 6), atol=1e-15)
         assert np.all(amps[weights != 2] == 0)
+
+    @pytest.mark.parametrize(
+        "n, k, name",
+        [(4, 5, "k"), (4, -1, "k"), (0, 0, "n"), (-3, 0, "n"), (ORACLE_MAX_QUBITS + 1, 1, "n")],
+    )
+    def test_out_of_range_rejected_before_allocation(self, n, k, name, monkeypatch):
+        def no_enumeration(n):
+            raise AssertionError(f"enumerated 2^{n} bitstrings for a rejected input")
+
+        monkeypatch.setattr(statevector, "_hamming_weights", no_enumeration)
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            dicke_state_amplitudes(n, k)
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(TypeError):
+            dicke_state_amplitudes(4.0, 2)
+
+
+# the fixed n = 20 source of the benchmark's oracle workload, where a single
+# 2^20-term dot product missed 1e-12 by rounding (1.09e-12 at k = 11)
+N20_SOURCE = SourceState(
+    math.sqrt(0.8536948482275507) * np.exp(6.007571382571055j),
+    math.sqrt(1 - 0.8536948482275507) * np.exp(5.770915809888045j),
+)
+
+
+def test_fidelity_rounding_at_capacity():
+    branches = measure_fock(build_state(N20_SOURCE, ORACLE_MAX_QUBITS))
+    for k in range(1, ORACLE_MAX_QUBITS):
+        assert abs(dicke_fidelity(branches[k]) - 1.0) <= 1e-12, k
+        assert abs(dicke_fidelity(locc_fold(branches[k])) - 1.0) <= 1e-12, k
+
+
+def _dense_branches(state):
+    # the full-length construction the sector layout replaced, kept as reference
+    weights = np.bitwise_count(np.arange(1 << state.n, dtype=np.uint32))
+    out = []
+    for k in range(state.n + 1):
+        sliced = np.where(weights == k, state.amps, 0.0)
+        prob = float(np.sum(np.abs(sliced) ** 2))
+        if prob > 0.0:
+            sliced = sliced / math.sqrt(prob)
+        out.append((sliced, prob))
+    return out
+
+
+def _phase_source(p00):
+    return SourceState(math.sqrt(p00) * np.exp(0.7j), math.sqrt(1 - p00) * np.exp(-2.1j))
+
+
+class TestSectorLayout:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_dense_construction(self, n):
+        state = build_state(_phase_source(0.37), n)
+        branches = measure_fock(state)
+        weights = np.bitwise_count(np.arange(1 << n))
+        for k, (b, (dense, prob)) in enumerate(zip(branches, _dense_branches(state))):
+            assert b.outcome_k == k
+            assert_allclose(b.amps, dense, rtol=0, atol=1e-15)
+            assert b.probability == pytest.approx(prob, abs=1e-15)
+            np.testing.assert_array_equal(b.support, np.flatnonzero(weights == k))
+            np.testing.assert_array_equal(locc_fold(b).amps, b.amps[::-1])
+        assert sum(b.sector.nbytes for b in branches) == 16 * 2**n
+
+    def test_amps_built_on_each_access(self):
+        b = measure_fock(build_state(_phase_source(0.6), 5))[2]
+        first = b.amps
+        first[:] = 0
+        assert b.amps is not first
+        assert np.any(b.amps != 0)
+        with pytest.raises(AttributeError):
+            b.amps = first
+
+    def test_weight_table_cached_read_only(self):
+        weights = statevector._hamming_weights(6)
+        assert statevector._hamming_weights(6) is weights
+        assert not weights.flags.writeable
+
+    def _branch(self):
+        return measure_fock(build_state(_phase_source(0.45), 5))[2]
+
+    def _rebuild(self, b, **changes):
+        fields = dict(n=b.n, outcome_k=b.outcome_k, support=b.support, sector=b.sector,
+                      probability=b.probability)
+        return ConditionalState(**{**fields, **changes})
+
+    def test_rejects_wrong_weight_entry(self):
+        b = self._branch()
+        support = b.support.copy()
+        support[-1] = 0b11100  # weight 3 in a weight-2 branch, still increasing
+        with pytest.raises(ValueError, match="fixed-weight"):
+            self._rebuild(b, support=support)
+
+    def test_rejects_unsorted_support(self):
+        b = self._branch()
+        with pytest.raises(ValueError, match="increasing"):
+            self._rebuild(b, support=b.support[::-1].copy())
+
+    def test_rejects_length_mismatch(self):
+        b = self._branch()
+        with pytest.raises(ValueError, match="one length"):
+            self._rebuild(b, sector=b.sector[:-1])
+
+    def test_rejects_incomplete_support(self):
+        b = self._branch()
+        with pytest.raises(ValueError, match="weight 2"):
+            self._rebuild(b, support=b.support[:-1], sector=b.sector[:-1])
+
+    def test_rejects_out_of_range_support(self):
+        b = self._branch()
+        support = b.support.copy()
+        support[-1] = 1 << 5 | 1  # weight 2, but not a 5-bit string
+        with pytest.raises(ValueError, match="lie in"):
+            self._rebuild(b, support=support)
+
+    def test_rejects_unnormalized_sector(self):
+        b = self._branch()
+        with pytest.raises(ValueError, match="norm"):
+            self._rebuild(b, sector=2 * b.sector)
+
+
+def test_oracle_uses_no_closed_form():
+    tree = ast.parse(Path(statevector.__file__).read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for module, name in imported if module == "probabilities"} == {
+        "SourceState",
+        "_as_int",
+    }
+    assert not any(module in ("optimize", "entanglement") for module, _ in imported)
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"comb", "lgamma", "gamma", "factorial", "binom"}
 
 
 class TestOracleClosedFormEquivalence:
