@@ -7,99 +7,12 @@ entanglement bounds, and seeded Monte Carlo sampling.
 
 __version__ = "0.1.0"
 
-from .entanglement import (
-    BipartiteMeasure,
-    LoccBoundReport,
-    binary_entropy,
-    check_locc_bound,
-    dicke_single_qubit_entanglement,
-    ghz_single_qubit_entanglement,
-    source_entanglement,
-    tangle_decay_bound,
-    two_tangle_of_density,
-    von_neumann_entropy,
-)
-from .optimize import (
-    BifurcationPoint,
-    CriticalThreshold,
-    Regime,
-    asymptotic_expansion,
-    asymptotic_prob,
-    asymptotic_source,
-    bifurcation_diagram,
-    critical_threshold,
-    optimize_source,
-)
-from .probabilities import (
-    DickeSpec,
-    LogProb,
-    OutcomeDistribution,
-    SourceState,
-    distribution,
-    failure_prob,
-    folded_prob,
-    log_folded_prob,
-    log_raw_outcome_prob,
-    raw_outcome_prob,
-)
-from .sampling import RunBatch, RunRecord, YieldReport, sample_runs, yield_report
-from .statevector import (
-    ORACLE_MAX_QUBITS,
-    ConditionalState,
-    CorrelatedState,
-    build_state,
-    dicke_fidelity,
-    dicke_state_amplitudes,
-    locc_fold,
-    measure_fock,
-    reduced_single_qubit,
-    single_qubit_density,
-)
+from . import entanglement, optimize, probabilities, sampling, statevector
+from .entanglement import *  # noqa: F403
+from .optimize import *  # noqa: F403
+from .probabilities import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .statevector import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "SourceState",
-    "DickeSpec",
-    "LogProb",
-    "OutcomeDistribution",
-    "raw_outcome_prob",
-    "log_raw_outcome_prob",
-    "folded_prob",
-    "log_folded_prob",
-    "failure_prob",
-    "distribution",
-    "ORACLE_MAX_QUBITS",
-    "CorrelatedState",
-    "ConditionalState",
-    "build_state",
-    "measure_fock",
-    "dicke_state_amplitudes",
-    "dicke_fidelity",
-    "locc_fold",
-    "single_qubit_density",
-    "reduced_single_qubit",
-    "Regime",
-    "CriticalThreshold",
-    "BifurcationPoint",
-    "critical_threshold",
-    "optimize_source",
-    "bifurcation_diagram",
-    "asymptotic_prob",
-    "asymptotic_expansion",
-    "asymptotic_source",
-    "BipartiteMeasure",
-    "binary_entropy",
-    "von_neumann_entropy",
-    "two_tangle_of_density",
-    "source_entanglement",
-    "dicke_single_qubit_entanglement",
-    "ghz_single_qubit_entanglement",
-    "LoccBoundReport",
-    "check_locc_bound",
-    "tangle_decay_bound",
-    "RunBatch",
-    "RunRecord",
-    "YieldReport",
-    "sample_runs",
-    "yield_report",
-]
+__all__ = ["__version__", *probabilities.__all__, *statevector.__all__, *optimize.__all__,
+           *entanglement.__all__, *sampling.__all__]

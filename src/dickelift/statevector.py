@@ -220,6 +220,16 @@ def single_qubit_density(amps: np.ndarray, site: int) -> np.ndarray:
 
 
 def reduced_single_qubit(cond: ConditionalState, site) -> np.ndarray:
-    """Reduced density matrix of one qubit of a conditional state."""
+    """Reduced density matrix of one qubit of a conditional state.
+
+    Every support bitstring has the same weight, so flipping the site's bit
+    leaves the support and the 0-1 coherence vanishes: the matrix is
+    diagonal, the sector's squared norm where the site bit is 0 and where
+    it is 1. It is summed over the sector without building 2^n amplitudes.
+    """
     site = _as_int(site, "site")
-    return single_qubit_density(cond.amps, site)
+    if not 0 <= site < cond.n:
+        raise ValueError(f"site must lie in [0, n), got {site}")
+    weights = np.abs(cond.sector) ** 2
+    ones = ((cond.support >> (cond.n - 1 - site)) & 1) == 1
+    return np.diag([np.sum(weights[~ones]), np.sum(weights[ones])]).astype(complex)

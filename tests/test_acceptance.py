@@ -33,6 +33,7 @@ from dickelift import (
     check_locc_bound,
     tangle_decay_bound,
 )
+from dickelift.optimize import _lower_root
 
 ENTROPY = BipartiteMeasure.VON_NEUMANN_ENTROPY
 TANGLE = BipartiteMeasure.TWO_TANGLE
@@ -222,3 +223,24 @@ def test_criterion_11_monte_carlo():
             assert abs(counts[k] / runs - p) < 5 * sigma, k
         assert sample_runs(3, 0.5, runs, seed=1) == records
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
+
+
+def test_criterion_12_critical_exponent():
+    # Just above eta_c the lower optimum leaves 1/2 as a square root, the
+    # order parameter of a second-order transition: with x = 1/2 - u, the
+    # cubic expansion of g in u gives u^2 = A^2 delta + O(delta^2), where
+    # delta = n - eta_c and A^2 = 3 sqrt(8k + 1) / (4 eta_c (eta_c - 1)).
+    # The relative correction is -c delta with c in (0.19, 0.63) for
+    # k = 1..6, inside the tolerance delta. Below delta ~ 1e-6 the rounding
+    # of g near its double root dominates, so the sweep stops at 1e-5.
+    with criterion(12, "optimal weight leaves 1/2 as sqrt(n - eta_c), k=1..6"):
+        for k in range(1, 7):
+            eta_c = critical_threshold(k).eta_c
+            amplitude = math.sqrt(3 * math.sqrt(8 * k + 1) / (4 * eta_c * (eta_c - 1)))
+            for delta in (1e-2, 1e-3, 1e-4, 1e-5):
+                u = 0.5 - _lower_root(eta_c + delta, k)
+                ratio = u / (amplitude * math.sqrt(delta))
+                assert abs(ratio - 1) <= delta, (
+                    f"k={k}, delta={delta:g}: 1/2 - x_opt = {u!r}, expected "
+                    f"{amplitude:.6f} sqrt(delta) within relative {delta:g}; ratio {ratio!r}"
+                )

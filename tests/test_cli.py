@@ -68,6 +68,17 @@ class TestProb:
             assert proc.returncode == 2, (args, proc.stderr)
             assert proc.stderr.strip()
 
+    def test_rejects_sweep_above_limit(self, monkeypatch, capsys):
+        import dickelift.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("a probability was computed")
+
+        monkeypatch.setattr(cli, "folded_prob", refuse)
+        monkeypatch.setattr(cli, "raw_outcome_prob", refuse)
+        assert cli.main(["prob", "--n", "3", "--k", "1", "--sweep", "0", "1", "100001"]) == 2
+        assert "at most 100000" in capsys.readouterr().err
+
 
 class TestBifurcation:
     def test_branch_counts_k1(self):

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from dickelift import (
 )
 
 EPR = SourceState(1 / math.sqrt(2), 1 / math.sqrt(2))
+PHASED = SourceState(0.6 * np.exp(0.7j), 0.8 * np.exp(-2.1j))
 
 
 class TestBuildState:
@@ -143,6 +146,36 @@ class TestReducedSingleQubit:
         assert_allclose(rho, rho.conj().T, rtol=0, atol=1e-14)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-13)
         assert np.all(np.linalg.eigvalsh(rho) > -1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_dense_partial_trace(self, n):
+        # the heralded sector of a product source is uniform, so a random
+        # sector on the same support also checks which bit is the site
+        rng = np.random.default_rng(n)
+        for cond in measure_fock(build_state(PHASED, n)):
+            sector = rng.normal(size=cond.sector.size) + 1j * rng.normal(size=cond.sector.size)
+            scrambled = dataclasses.replace(cond, sector=sector / np.linalg.norm(sector))
+            for branch in (cond, scrambled):
+                for site in range(n):
+                    assert_allclose(reduced_single_qubit(branch, site),
+                                    single_qubit_density(branch.amps, site), rtol=0, atol=1e-15)
+
+    def test_peak_memory_below_one_dense_array(self):
+        n = 16
+        cond = measure_fock(build_state(PHASED, n))[8]
+        tracemalloc.start()
+        try:
+            reduced_single_qubit(cond, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**n, f"peak {peak} B reaches one dense 2^{n} array"
+
+    @pytest.mark.parametrize("site", [-1, 4])
+    def test_rejects_out_of_range_site(self, site):
+        cond = measure_fock(build_state(PHASED, 4))[2]
+        with pytest.raises(ValueError, match="site must lie in"):
+            reduced_single_qubit(cond, site)
 
 
 class TestDickeReference:
