@@ -22,15 +22,19 @@ from datetime import datetime, timezone
 from . import __version__
 from .entanglement import BipartiteMeasure, _locc_sides, _tangle_bound
 from .optimize import asymptotic_expansion, bifurcation_diagram, optimize_source
-from .probabilities import DickeSpec, SourceState, distribution, folded_prob, raw_outcome_prob
+from .probabilities import DickeSpec, SourceState, _raw_pairs, distribution, folded_prob
 from .sampling import _streamed_report
 
 __all__ = ["main"]
 
 # About 30 s of sampling at the ~30 ns per run measured on a 2-vCPU x86 VM.
 _MAX_RUNS = 10**9
-# A sweep at the cap takes about 1.8 s at 72 MB peak RSS, on the same VM.
+# A sweep at the cap takes about 1.0 s at 75 MB (CSV) or 84 MB (JSON) peak RSS,
+# on the same VM.
 _MAX_SWEEP_STEPS = 10**5
+# Values of n in one `bifurcation` or `decay` run, one optimal-source solve
+# each: at the cap about 9 s and 13 s, at most 121 MB peak RSS, on the same VM.
+_MAX_N_VALUES = 10**5
 
 
 class UsageError(Exception):
@@ -71,6 +75,11 @@ def _envelope(command: str, parameters: dict, columns: list[str], rows: list[lis
     return env
 
 
+# the cell types whose csv text differs from _cell's: str(True), and "" for None
+_CSV_UNLIKE_CELL = frozenset({bool, type(None)})
+_JSON_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -80,14 +89,26 @@ def _cell(value) -> str:
 
 
 def _render(env: dict, fmt: str) -> str:
+    """The envelope as CSV, or as JSON with indent=2; rows are non-empty lists of scalars.
+
+    Rows are written by C code, one call per row: csv writes floats with repr
+    as _cell does, so only rows holding a bool or None need _cell; JSON rows go
+    through the C encoder, whose separators reproduce indent=2 inside a row.
+    """
+    rows = env["rows"]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(env["columns"])
-        for row in env["rows"]:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(row if _CSV_UNLIKE_CELL.isdisjoint(map(type, row))
+                         else [_cell(v) for v in row] for row in rows)
         return buf.getvalue()
-    return json.dumps(env, indent=2) + "\n"
+    text = json.dumps({**env, "rows": []}, indent=2) + "\n"
+    if not rows:
+        return text
+    head, tail = text.split('\n  "rows": []', 1)
+    body = ",\n    ".join(f"[\n      {_JSON_ROW.encode(row)[1:-1]}\n    ]" for row in rows)
+    return f'{head}\n  "rows": [\n    {body}\n  ]{tail}'
 
 
 def _write(text: str, output: str | None) -> None:
@@ -125,23 +146,23 @@ def _cmd_prob(args) -> dict:
             raise UsageError("--A must lie in [0, 1]")
         weights = [args.A]
         parameters = {"n": spec.n, "k": spec.k, "A": args.A}
-    rows = [
-        [
-            spec.n,
-            spec.k,
-            a,
-            folded_prob(spec, a),
-            raw_outcome_prob(spec.n, spec.k, a),
-            raw_outcome_prob(spec.n, spec.n - spec.k, a),
-        ]
-        for a in weights
-    ]
+    n, k = spec.n, spec.k
+    # folded_prob's sum: the self-paired outcome k = n/2 is counted once
+    rows = [[n, k, a, ra if 2 * k == n else ra + rb, ra, rb]
+            for a, (ra, rb) in zip(weights, _raw_pairs(n, k, weights))]
     return _envelope("prob", parameters,
                      ["n", "k", "A", "P_folded", "P_raw_k", "P_raw_nk"], rows)
 
 
+def _check_n_span(option: str, n_min: int, n_max: int) -> None:
+    count = n_max - n_min + 1
+    if count > _MAX_N_VALUES:
+        raise UsageError(f"{option} must span at most {_MAX_N_VALUES} values of n, got {count}")
+
+
 def _cmd_bifurcation(args) -> dict:
     n_min, n_max = args.n
+    _check_n_span("--n", n_min, n_max)
     try:
         points = bifurcation_diagram(args.k, n_min, n_max)
     except ValueError as exc:
@@ -160,6 +181,7 @@ def _cmd_decay(args) -> dict:
     n_min = 2 * args.k
     if args.n_max < n_min:
         raise UsageError(f"--n-max must be at least 2k = {n_min}")
+    _check_n_span("--n-max", n_min, args.n_max)
     specs = [DickeSpec(n, args.k) for n in range(n_min, args.n_max + 1)]
     if args.source == "epr":
         probs = [folded_prob(spec, 0.5) for spec in specs]

@@ -130,13 +130,55 @@ class LogProb:
         return self.value == float("-inf")
 
 
+def _mirrored(n: int, k: int, p00: float) -> tuple[int, float]:
+    # the (k, p00 >= 1/2) at which outcome k is evaluated: through the mirrored
+    # pair (n-k, 1-p00) below 1/2, and with the smaller of k, n-k at exactly 1/2
+    # (which 1 - p00 can round to), so the symmetry holds bit for bit
+    if p00 < 0.5:
+        k, p00 = n - k, 1.0 - p00
+    if p00 == 0.5 and k > n - k:
+        k = n - k
+    return k, p00
+
+
+def _log_binom(n: int, k: int) -> float:
+    # the same double for k and n-k
+    lo, hi = (k, n - k) if k <= n - k else (n - k, k)
+    return math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(hi + 1)
+
+
+def _log_term(n: int, k: int, log_binom: float, log_p: float, log_q: float) -> float:
+    # log of C(n, k) p^(n-k) q^k from log C(n, k), log p and log q = log1p(-p)
+    return min(0.0, log_binom + (n - k) * log_p + k * log_q)
+
+
 def _log_core(n: int, k: int, p00: float) -> float:
     # assumes 0.5 <= p00 <= 1 and 0 <= k <= n
     if p00 == 1.0:
         return 0.0 if k == 0 else float("-inf")
-    lo, hi = (k, n - k) if k <= n - k else (n - k, k)
-    log_binom = math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(hi + 1)
-    return min(0.0, log_binom + (n - k) * math.log(p00) + k * math.log1p(-p00))
+    return _log_term(n, k, _log_binom(n, k), math.log(p00), math.log1p(-p00))
+
+
+def _raw_pairs(n: int, k: int, weights) -> list[tuple[float, float]]:
+    """(raw_outcome_prob(n, k, a), raw_outcome_prob(n, n - k, a)) for each weight a.
+
+    Bit for bit the scalar values, without their validation: assumes
+    0 <= k <= n and 0 <= a <= 1. log C(n, k) is taken once per call, and each
+    weight takes one log and one log1p, shared by both outcomes.
+    """
+    log_binom = _log_binom(n, k)
+    pairs = []
+    for a in weights:
+        ka, p = _mirrored(n, k, a)
+        kb = _mirrored(n, n - k, a)[0]
+        if p == 1.0:
+            la, lb = _log_core(n, ka, p), _log_core(n, kb, p)
+        else:
+            log_p, log_q = math.log(p), math.log1p(-p)
+            la = _log_term(n, ka, log_binom, log_p, log_q)
+            lb = _log_term(n, kb, log_binom, log_p, log_q)
+        pairs.append((math.exp(la), math.exp(lb)))
+    return pairs
 
 
 def log_raw_outcome_prob(n, k, p00) -> LogProb:
@@ -152,11 +194,7 @@ def log_raw_outcome_prob(n, k, p00) -> LogProb:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, n] = [0, {n}], got {k}")
-    p00 = _check_p00(p00)
-    if p00 < 0.5:
-        return log_raw_outcome_prob(n, n - k, 1.0 - p00)
-    if p00 == 0.5 and k > n - k:
-        k = n - k
+    k, p00 = _mirrored(n, k, _check_p00(p00))
     return LogProb(_log_core(n, k, p00))
 
 

@@ -75,7 +75,8 @@ class TestProb:
             raise AssertionError("a probability was computed")
 
         monkeypatch.setattr(cli, "folded_prob", refuse)
-        monkeypatch.setattr(cli, "raw_outcome_prob", refuse)
+        monkeypatch.setattr(cli, "raw_outcome_prob", refuse, raising=False)
+        monkeypatch.setattr(cli, "_raw_pairs", refuse)
         assert cli.main(["prob", "--n", "3", "--k", "1", "--sweep", "0", "1", "100001"]) == 2
         assert "at most 100000" in capsys.readouterr().err
 
@@ -108,6 +109,37 @@ class TestBifurcation:
     def test_bad_range_exits_2(self):
         assert run_cli("bifurcation", "--k", "2", "--n", "3", "10").returncode == 2
         assert run_cli("bifurcation", "--k", "1", "--n", "8", "5").returncode == 2
+
+
+class TestNSpanLimit:
+    @pytest.fixture
+    def cli(self, monkeypatch):
+        import dickelift.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("a probability was computed")
+
+        monkeypatch.setattr(cli, "bifurcation_diagram", refuse)
+        monkeypatch.setattr(cli, "folded_prob", refuse)
+        return cli
+
+    @pytest.mark.parametrize("argv", [
+        ["bifurcation", "--k", "1", "--n", "2", "100002"],
+        ["bifurcation", "--k", "1", "--n", "2", "1000000000"],
+        ["decay", "--k", "1", "--n-max", "100002", "--source", "epr"],
+        ["decay", "--k", "3", "--n-max", "1000000000", "--source", "optimal"],
+    ])
+    def test_rejects_span_above_limit(self, cli, capsys, argv):
+        assert cli.main(argv) == 2
+        assert "at most 100000 values of n" in capsys.readouterr().err
+
+    def test_accepts_span_at_limit(self, cli, monkeypatch):
+        spans = []
+        monkeypatch.setattr(cli, "bifurcation_diagram",
+                            lambda k, n_min, n_max: spans.append(n_max - n_min + 1) or [])
+        assert cli.main(["bifurcation", "--k", "1", "--n", "2", "100001"]) == 0
+        assert cli.main(["decay", "--k", "1", "--n-max", "100001", "--source", "optimal"]) == 0
+        assert spans == [100000, 100000]
 
 
 class TestDecay:
@@ -241,6 +273,88 @@ class TestOutputAndFormats:
     def test_version_flag(self):
         proc = run_cli("--version")
         assert proc.returncode == 0 and proc.stdout.strip()
+
+
+def _reference_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _reference_render(env: dict, fmt: str) -> str:
+    """The per-cell renderer the row-at-a-time one must match byte for byte."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(env["columns"])
+        for row in env["rows"]:
+            writer.writerow([_reference_cell(v) for v in row])
+        return buf.getvalue()
+    return json.dumps(env, indent=2) + "\n"
+
+
+def _handler_envelope(*argv):
+    import dickelift.cli as cli
+
+    args = cli._build_parser().parse_args(argv)
+    return args.handler(args)
+
+
+class TestRender:
+    HALF_DOWN = repr(math.nextafter(0.5, 0.0))
+    HALF_UP = repr(math.nextafter(0.5, 1.0))
+
+    ENVELOPES = {
+        "prob_point": ("prob", "--n", "7", "--k", "2", "--A", HALF_DOWN),
+        "prob_sweep": ("prob", "--n", "7", "--k", "2", "--sweep", "0", "1", "40"),
+        "prob_sweep_half": ("prob", "--n", "8", "--k", "4", "--sweep", HALF_DOWN, HALF_UP, "2"),
+        "bifurcation": ("bifurcation", "--k", "1", "--n", "3", "8"),
+        "decay_epr": ("decay", "--k", "2", "--n-max", "12", "--source", "epr"),
+        "decay_optimal": ("decay", "--k", "3", "--n-max", "20", "--source", "optimal"),
+        "simulate": ("simulate", "--n", "5", "--A", "0.3", "--runs", "1000", "--seed", "7"),
+        "simulate_all_fail": ("simulate", "--n", "5", "--A", "1", "--runs", "10", "--seed", "7"),
+        "entanglement": ("entanglement", "--n", "20", "--k", "3", "--measure", "entropy"),
+    }
+
+    SYNTHETIC = {
+        "command": "synthetic",
+        "parameters": {"label": 'say "hi", \u00e9\u00df\u20ac', "x": None, "flags": [True, 0.5]},
+        "columns": ["a", "b", "c", "d", "e"],
+        "rows": [
+            [1, 0.0, -0.0, 5e-324, 1e308],
+            [float("nan"), float("inf"), float("-inf"), -7, 2**70],
+            ['quote "q", comma', "\u00fcnic\u00f6de", True, False, None],
+            [0.1, None, "line\nbreak", "", 1.5],
+        ],
+        "summary": {"nested": {"1": 2}, "none": None, "list": []},
+        "metadata": {"version": "0", "timestamp": "t"},
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(ENVELOPES))
+    def test_subcommand_envelopes_match_reference(self, name, fmt):
+        import dickelift.cli as cli
+
+        env = _handler_envelope(*self.ENVELOPES[name])
+        assert cli._render(env, fmt) == _reference_render(env, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_synthetic_envelope_matches_reference(self, fmt):
+        import dickelift.cli as cli
+
+        assert cli._render(self.SYNTHETIC, fmt) == _reference_render(self.SYNTHETIC, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_rows_match_reference(self, fmt):
+        import dickelift.cli as cli
+
+        env = {**self.SYNTHETIC, "rows": []}
+        text = cli._render(env, fmt)
+        assert text == _reference_render(env, fmt)
+        if fmt == "json":
+            assert '"rows": []' in text
 
 
 def test_import_loads_no_scipy():

@@ -16,6 +16,7 @@ from dickelift import (
     log_raw_outcome_prob,
     raw_outcome_prob,
 )
+from dickelift.probabilities import _raw_pairs
 from dickelift.statevector import build_state, measure_fock
 
 
@@ -91,6 +92,19 @@ class TestRawOutcomeProb:
     def test_mirror_symmetry_bit_exact(self, n, k_frac, p00):
         k = round(k_frac * n)
         assert raw_outcome_prob(n, k, p00) == raw_outcome_prob(n, n - k, 1.0 - p00)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pair_kernel_bit_identical(self, data):
+        n = data.draw(st.integers(2, 10**6), label="n")
+        k = data.draw(st.integers(0, n), label="k")
+        weights = [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+                   k / n, 1.0 - k / n,
+                   *data.draw(st.lists(st.floats(0.0, 1.0), max_size=8), label="weights")]
+        pairs = _raw_pairs(n, k, weights)
+        assert len(pairs) == len(weights)
+        for a, pair in zip(weights, pairs):
+            assert pair == (raw_outcome_prob(n, k, a), raw_outcome_prob(n, n - k, a)), a
 
     @given(n=st.integers(2, 64), p00=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
