@@ -1,8 +1,9 @@
 """Heralded n-qubit Dicke states from tunable two-qubit pair sources.
 
 Exact small-n statevector simulation, closed-form success probabilities
-that stay finite for n of order 10^6, optimal-source bifurcation analysis,
-entanglement bounds, and seeded Monte Carlo sampling.
+(scalar ones finite for n of order 10^6, the full `distribution` so far only
+to n of some hundreds), optimal-source bifurcation analysis, entanglement
+bounds, and seeded Monte Carlo sampling.
 """
 
 __version__ = "0.1.0"

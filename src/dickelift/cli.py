@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .entanglement import BipartiteMeasure, _locc_sides, _tangle_bound
 from .optimize import asymptotic_expansion, bifurcation_diagram, optimize_source
-from .probabilities import DickeSpec, SourceState, _raw_pairs, distribution, folded_prob
+from .probabilities import DickeSpec, SourceState, _prob_rows, distribution, folded_prob
 from .sampling import _streamed_report
 
 __all__ = ["main"]
@@ -35,6 +35,9 @@ _MAX_SWEEP_STEPS = 10**5
 # Values of n in one `bifurcation` or `decay` run, one optimal-source solve
 # each: at the cap about 9 s and 13 s, at most 121 MB peak RSS, on the same VM.
 _MAX_N_VALUES = 10**5
+# The README's range for n. At the cap, on the same VM: about 0.4 s and 83 MB until
+# `distribution` rejects its law (exit 1); 5 s and 350 (CSV) to 480 MB (JSON) past it.
+_MAX_SIMULATE_N = 10**6
 
 
 class UsageError(Exception):
@@ -147,9 +150,7 @@ def _cmd_prob(args) -> dict:
         weights = [args.A]
         parameters = {"n": spec.n, "k": spec.k, "A": args.A}
     n, k = spec.n, spec.k
-    # folded_prob's sum: the self-paired outcome k = n/2 is counted once
-    rows = [[n, k, a, ra if 2 * k == n else ra + rb, ra, rb]
-            for a, (ra, rb) in zip(weights, _raw_pairs(n, k, weights))]
+    rows = [[n, k, a, *row] for a, row in zip(weights, _prob_rows(n, k, weights))]
     return _envelope("prob", parameters,
                      ["n", "k", "A", "P_folded", "P_raw_k", "P_raw_nk"], rows)
 
@@ -201,6 +202,8 @@ def _cmd_simulate(args) -> dict:
         raise UsageError(f"--runs must be at most {_MAX_RUNS}, got {args.runs}")
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if args.n > _MAX_SIMULATE_N:
+        raise UsageError(f"--n must be at most {_MAX_SIMULATE_N}, got {args.n}")
     law = distribution(args.n, args.A).raw
     report = _streamed_report(law, args.runs, args.seed)
     rows = []

@@ -159,5 +159,5 @@ def tangle_decay_bound(spec: DickeSpec) -> tuple[float, float]:
         raise ValueError(
             f"n={spec.n}, k={spec.k} is {regime.value}; the bound needs (n - 2k)^2 > n"
         )
-    actual = 4.0 * (spec.k / spec.n) * (1.0 - spec.k / spec.n)
-    return _tangle_bound(spec), actual
+    return (_tangle_bound(spec),
+            dicke_single_qubit_entanglement(spec, BipartiteMeasure.TWO_TANGLE))

@@ -140,8 +140,8 @@ def optimize_source(spec: DickeSpec) -> BifurcationPoint:
             f"lower branch p00 = {x!r} for n={spec.n}, k={spec.k} is not a maximum "
             f"in [k/n, 1/2) above P(1/2)"
         )
-    mirror = 1.0 - x
-    branches = ((x, p_low), (mirror, folded_prob(spec, mirror)))
+    # P(1 - x) is P(x) bit for bit: folded_prob evaluates x < 1/2 at 1 - x
+    branches = ((x, p_low), (1.0 - x, p_low))
     return BifurcationPoint(n=spec.n, k=spec.k, regime=regime, branches=branches)
 
 

@@ -130,55 +130,49 @@ class LogProb:
         return self.value == float("-inf")
 
 
-def _mirrored(n: int, k: int, p00: float) -> tuple[int, float]:
-    # the (k, p00 >= 1/2) at which outcome k is evaluated: through the mirrored
-    # pair (n-k, 1-p00) below 1/2, and with the smaller of k, n-k at exactly 1/2
-    # (which 1 - p00 can round to), so the symmetry holds bit for bit
-    if p00 < 0.5:
-        k, p00 = n - k, 1.0 - p00
-    if p00 == 0.5 and k > n - k:
-        k = n - k
-    return k, p00
+def _log_pairs(n: int, k: int, weights) -> list[tuple[float, float]]:
+    """(log raw k, log raw n-k) at each weight a: the one evaluation of the herald law.
 
-
-def _log_binom(n: int, k: int) -> float:
-    # the same double for k and n-k
-    lo, hi = (k, n - k) if k <= n - k else (n - k, k)
-    return math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(hi + 1)
-
-
-def _log_term(n: int, k: int, log_binom: float, log_p: float, log_q: float) -> float:
-    # log of C(n, k) p^(n-k) q^k from log C(n, k), log p and log q = log1p(-p)
-    return min(0.0, log_binom + (n - k) * log_p + k * log_q)
-
-
-def _log_core(n: int, k: int, p00: float) -> float:
-    # assumes 0.5 <= p00 <= 1 and 0 <= k <= n
-    if p00 == 1.0:
-        return 0.0 if k == 0 else float("-inf")
-    return _log_term(n, k, _log_binom(n, k), math.log(p00), math.log1p(-p00))
-
-
-def _raw_pairs(n: int, k: int, weights) -> list[tuple[float, float]]:
-    """(raw_outcome_prob(n, k, a), raw_outcome_prob(n, n - k, a)) for each weight a.
-
-    Bit for bit the scalar values, without their validation: assumes
-    0 <= k <= n and 0 <= a <= 1. log C(n, k) is taken once per call, and each
-    weight takes one log and one log1p, shared by both outcomes.
+    Unvalidated: assumes 0 <= k <= n and 0 <= a <= 1. Outcome j is evaluated
+    as min(0, log C(n, j) + (n-j) log p + j log1p(-p)) at a p >= 1/2: through
+    the mirrored pair (n-j, 1-a) below 1/2, and with the smaller of j, n-j at
+    exactly 1/2 (which 1 - a can round to), so the k <-> n-k, a <-> 1-a
+    symmetry holds bit for bit. log C(n, k), the same double for k and n-k,
+    is taken once per call; each weight takes one log and one log1p.
     """
-    log_binom = _log_binom(n, k)
+    lo, hi = (k, n - k) if k <= n - k else (n - k, k)
+    log_binom = math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(hi + 1)
     pairs = []
     for a in weights:
-        ka, p = _mirrored(n, k, a)
-        kb = _mirrored(n, n - k, a)[0]
-        if p == 1.0:
-            la, lb = _log_core(n, ka, p), _log_core(n, kb, p)
-        else:
-            log_p, log_q = math.log(p), math.log1p(-p)
-            la = _log_term(n, ka, log_binom, log_p, log_q)
-            lb = _log_term(n, kb, log_binom, log_p, log_q)
-        pairs.append((math.exp(la), math.exp(lb)))
+        ka, kb, p = (k, n - k, a) if a >= 0.5 else (n - k, k, 1.0 - a)
+        if p == 0.5:
+            ka = kb = lo
+        elif p == 1.0:  # only outcome 0 can occur, and log1p(-1) is undefined
+            pairs.append((0.0 if ka == 0 else -math.inf, 0.0 if kb == 0 else -math.inf))
+            continue
+        log_p, log_q = math.log(p), math.log1p(-p)
+        pairs.append((min(0.0, log_binom + (n - ka) * log_p + ka * log_q),
+                      min(0.0, log_binom + (n - kb) * log_p + kb * log_q)))
     return pairs
+
+
+def _prob_rows(n: int, k: int, weights) -> list[tuple[float, float, float]]:
+    """(folded, raw k, raw n-k) per weight, unvalidated; a self-paired k = n/2 folds alone."""
+    rows = []
+    for la, lb in _log_pairs(n, k, weights):
+        ra, rb = math.exp(la), math.exp(lb)
+        rows.append((ra if 2 * k == n else ra + rb, ra, rb))
+    return rows
+
+
+def _log_raw(n, k, p00) -> float:
+    n = _as_int(n, "n")
+    k = _as_int(k, "k")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, n] = [0, {n}], got {k}")
+    return _log_pairs(n, k, [_check_p00(p00)])[0][0]
 
 
 def log_raw_outcome_prob(n, k, p00) -> LogProb:
@@ -188,27 +182,19 @@ def log_raw_outcome_prob(n, k, p00) -> LogProb:
     p00 < 1/2 are evaluated through the mirrored pair (n-k, 1-p00), which
     makes the k <-> n-k, p00 <-> 1-p00 symmetry hold bit-for-bit.
     """
-    n = _as_int(n, "n")
-    k = _as_int(k, "k")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, n] = [0, {n}], got {k}")
-    k, p00 = _mirrored(n, k, _check_p00(p00))
-    return LogProb(_log_core(n, k, p00))
+    return LogProb(_log_raw(n, k, p00))
 
 
 def raw_outcome_prob(n, k, p00) -> float:
     """Probability that the herald reads k excitations out of n pairs."""
-    return log_raw_outcome_prob(n, k, p00).linear
+    return math.exp(_log_raw(n, k, p00))
 
 
 def log_folded_prob(spec: DickeSpec, p00) -> LogProb:
     """Natural log of the success probability for the canonical class spec.k."""
-    la = log_raw_outcome_prob(spec.n, spec.k, p00).value
+    ((la, lb),) = _log_pairs(spec.n, spec.k, [_check_p00(p00)])
     if 2 * spec.k == spec.n:
         return LogProb(la)
-    lb = log_raw_outcome_prob(spec.n, spec.n - spec.k, p00).value
     return LogProb(min(0.0, float(np.logaddexp(la, lb))))
 
 
@@ -218,11 +204,7 @@ def folded_prob(spec: DickeSpec, p00) -> float:
     Sums the raw outcomes k and n-k; for even n and k = n/2 the single
     self-paired outcome is returned unchanged.
     """
-    p00 = _check_p00(p00)
-    a = raw_outcome_prob(spec.n, spec.k, p00)
-    if 2 * spec.k == spec.n:
-        return a
-    return a + raw_outcome_prob(spec.n, spec.n - spec.k, p00)
+    return _prob_rows(spec.n, spec.k, [_check_p00(p00)])[0][0]
 
 
 def failure_prob(n, p00) -> float:
@@ -235,7 +217,10 @@ def failure_prob(n, p00) -> float:
 
 
 def _log_raw_all_k(n: int, p00: float) -> np.ndarray:
-    """Log outcome probabilities for every k = 0..n, same mirroring as the scalar path."""
+    """Log outcome probabilities for every k = 0..n, the same doubles as _log_pairs gives.
+
+    numpy's exp of them differs from libm's in the last bit for a few percent of entries.
+    """
     if p00 < 0.5:
         return _log_raw_all_k(n, 1.0 - p00)[::-1]
     out = np.full(n + 1, float("-inf"))
@@ -244,12 +229,24 @@ def _log_raw_all_k(n: int, p00: float) -> np.ndarray:
         return out
     k = np.arange(n + 1)
     lo = np.minimum(k, n - k)
+    if p00 == 0.5:
+        k = lo
     # log j! for j = 0..n, from the lgamma the scalar path uses
     log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     log_binom = log_fact[n] - log_fact[lo] - log_fact[n - lo]
     out = log_binom + (n - k) * math.log(p00) + k * math.log1p(-p00)
     np.minimum(out, 0.0, out=out)
     return out
+
+
+def _fold(raw: np.ndarray) -> np.ndarray:
+    """folded[j] = raw[j] + raw[n-j] for j = 0..n//2, raw[n/2] alone at the midpoint of even n."""
+    n = len(raw) - 1
+    half = n // 2
+    folded = raw[: half + 1] + raw[::-1][: half + 1]
+    if n % 2 == 0:
+        folded[half] = raw[half]
+    return folded
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,8 +283,4 @@ def distribution(n, p00) -> OutcomeDistribution:
         raise ValueError(f"n must be at least 2, got {n}")
     p00 = _check_p00(p00)
     raw = np.exp(_log_raw_all_k(n, p00))
-    half = n // 2
-    folded = raw[: half + 1] + raw[::-1][: half + 1]
-    if n % 2 == 0:
-        folded[half] = raw[half]
-    return OutcomeDistribution(n=n, raw=raw, folded=folded)
+    return OutcomeDistribution(n=n, raw=raw, folded=_fold(raw))

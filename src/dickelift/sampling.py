@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probabilities import _as_int, _check_p00, distribution
+from .probabilities import _as_int, _check_p00, _fold, distribution
 
 __all__ = ["RunBatch", "RunRecord", "YieldReport", "sample_runs", "yield_report"]
 
@@ -141,19 +141,20 @@ def sample_runs(n, p00, runs, seed) -> RunBatch:
     return RunBatch(n, raw)
 
 
-def _report(counts: list[int], n: int) -> YieldReport:
-    """The YieldReport of a batch whose outcome k occurred counts[k] times."""
+def _report(counts: np.ndarray) -> YieldReport:
+    """The YieldReport of a batch whose outcome k occurred counts[k] times, k = 0..n."""
+    n = len(counts) - 1
+    failures, *produced = _fold(counts).tolist()
+    counts = counts.tolist()
     runs = sum(counts)
-    produced = {j: counts[j] + (counts[n - j] if 2 * j != n else 0)
-                for j in range(1, n // 2 + 1)}
-    dicke_produced = {j: c for j, c in produced.items() if c}
-    total_dicke = sum(dicke_produced.values())
+    dicke_produced = {j: c for j, c in enumerate(produced, 1) if c}
+    total_dicke = runs - failures
     pairs_consumed = n * runs
     return YieldReport(
         runs=runs,
         pairs_consumed=pairs_consumed,
         dicke_produced=dicke_produced,
-        failures=runs - total_dicke,
+        failures=failures,
         empirical_probs={k: c / runs for k, c in enumerate(counts)},
         pairs_per_dicke=pairs_consumed / total_dicke if total_dicke else math.inf,
     )
@@ -177,7 +178,7 @@ def yield_report(records: Sequence[RunRecord], n) -> YieldReport:
     counts = np.bincount(raw, minlength=n + 1)
     if len(counts) > n + 1:
         raise ValueError(f"outcome {len(counts) - 1} exceeds n = {n}")
-    return _report(counts.tolist(), n)
+    return _report(counts)
 
 
 def _streamed_report(law: np.ndarray, runs: int, seed: int) -> YieldReport:
@@ -185,4 +186,4 @@ def _streamed_report(law: np.ndarray, runs: int, seed: int) -> YieldReport:
     counts = np.zeros(len(law), dtype=np.int64)
     for chunk in _outcome_chunks(law, runs, seed):
         counts += np.bincount(chunk, minlength=len(law))
-    return _report(counts.tolist(), len(law) - 1)
+    return _report(counts)

@@ -76,7 +76,7 @@ class TestProb:
 
         monkeypatch.setattr(cli, "folded_prob", refuse)
         monkeypatch.setattr(cli, "raw_outcome_prob", refuse, raising=False)
-        monkeypatch.setattr(cli, "_raw_pairs", refuse)
+        monkeypatch.setattr(cli, "_prob_rows", refuse)
         assert cli.main(["prob", "--n", "3", "--k", "1", "--sweep", "0", "1", "100001"]) == 2
         assert "at most 100000" in capsys.readouterr().err
 
@@ -206,6 +206,22 @@ class TestSimulate:
             assert cli.main(argv) == 2
             assert "at most 1000000000" in capsys.readouterr().err
 
+    def test_rejects_n_above_limit(self, monkeypatch, capsys):
+        import dickelift.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("the outcome law was computed")
+
+        monkeypatch.setattr(cli, "distribution", refuse)
+        for n in ("1000001", "1000000000000"):
+            argv = ["simulate", "--n", n, "--A", "0.5", "--runs", "10", "--seed", "1"]
+            assert cli.main(argv) == 2
+            assert "--n must be at most 1000000" in capsys.readouterr().err
+        # n at the cap passes the check and reaches the refusing law
+        assert cli.main(["simulate", "--n", "1000000", "--A", "0.5", "--runs", "10",
+                         "--seed", "1"]) == 1
+        assert "the outcome law was computed" in capsys.readouterr().err
+
     def test_rejects_oversized_seed(self):
         proc = run_cli("simulate", "--n", "3", "--A", "0.5", "--runs", "10", "--seed", str(2**64))
         assert proc.returncode == 2
@@ -273,6 +289,60 @@ class TestOutputAndFormats:
     def test_version_flag(self):
         proc = run_cli("--version")
         assert proc.returncode == 0 and proc.stdout.strip()
+
+
+class TestLibraryParity:
+    """Rows that cli.main writes equal the library's values exactly, CSV and JSON."""
+
+    HALF_DOWN = math.nextafter(0.5, 0.0)
+    HALF_UP = math.nextafter(0.5, 1.0)
+
+    @staticmethod
+    def rows(tmp_path, fmt, *argv):
+        import dickelift.cli as cli
+
+        path = tmp_path / f"out.{fmt}"
+        assert cli.main([*argv, "--format", fmt, "--output", str(path)]) == 0
+        if fmt == "json":
+            return json.loads(path.read_text())["rows"]
+        _, rows = parse_csv(path.read_text())
+        return [[int(row[0]), *map(float, row[1:])] for row in rows]
+
+    @staticmethod
+    def prob_row(n, k, a):
+        from dickelift import DickeSpec, folded_prob, raw_outcome_prob
+
+        return [n, k, a, folded_prob(DickeSpec(n, k), a),
+                raw_outcome_prob(n, k, a), raw_outcome_prob(n, n - k, a)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n,k", [(7, 2), (8, 4), (10**6, 3), (10**6, 500000)])
+    def test_prob_points(self, tmp_path, fmt, n, k):
+        for a in (0.0, 1.0, 0.5, self.HALF_DOWN, self.HALF_UP, k / n):
+            rows = self.rows(tmp_path, fmt, "prob", "--n", str(n), "--k", str(k), "--A", repr(a))
+            assert rows == [self.prob_row(n, k, a)], a
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n,k,start,end,steps", [
+        (7, 2, 0.0, 1.0, 40),
+        (8, 4, HALF_DOWN, HALF_UP, 2),
+        (10**6, 3, 0.0, 1e-5, 50),
+        (10**6, 500000, 0.4999, 0.5001, 20),
+    ])
+    def test_prob_sweeps(self, tmp_path, fmt, n, k, start, end, steps):
+        rows = self.rows(tmp_path, fmt, "prob", "--n", str(n), "--k", str(k),
+                         "--sweep", repr(start), repr(end), str(steps))
+        weights = [start + i * (end - start) / steps for i in range(steps + 1)]
+        assert rows == [self.prob_row(n, k, a) for a in weights]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_decay_epr(self, tmp_path, fmt):
+        from dickelift import DickeSpec, asymptotic_expansion, folded_prob
+
+        rows = self.rows(tmp_path, fmt, "decay", "--k", "3", "--n-max", "500", "--source", "epr")
+        specs = [DickeSpec(n, 3) for n in range(6, 501)]
+        assert rows == [[spec.n, folded_prob(spec, 0.5), asymptotic_expansion(spec)]
+                        for spec in specs]
 
 
 def _reference_cell(value) -> str:

@@ -136,6 +136,18 @@ class TestOptimizeSource:
         assert a_low + a_high == pytest.approx(1.0, abs=1e-12)
         assert p_low == pytest.approx(p_high, abs=1e-12)
 
+    def test_mirror_branch_probability_bit_exact(self):
+        grid = [(n, k) for k in (1, 2, 3) for n in range(2 * k, 3001)]
+        rng = np.random.default_rng(9)
+        grid += [(n, k) for k in range(1, 9) for n in rng.integers(3001, 10**6, 25).tolist()]
+        for n, k in grid:
+            spec = DickeSpec(n, k)
+            point = optimize_source(spec)
+            if point.regime is Regime.SUPERCRITICAL:
+                (a_low, p_low), (a_high, p_high) = point.branches
+                assert a_high == 1.0 - a_low
+                assert p_high == p_low == folded_prob(spec, a_high), (n, k)
+
     @pytest.mark.parametrize(
         "n,k",
         [(5, 1), (8, 1), (12, 1), (20, 1), (40, 1), (7, 2), (9, 2), (15, 2), (10, 3), (25, 3)],

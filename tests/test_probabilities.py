@@ -16,7 +16,7 @@ from dickelift import (
     log_raw_outcome_prob,
     raw_outcome_prob,
 )
-from dickelift.probabilities import _raw_pairs
+from dickelift.probabilities import _log_raw_all_k, _prob_rows
 from dickelift.statevector import build_state, measure_fock
 
 
@@ -101,16 +101,58 @@ class TestRawOutcomeProb:
         weights = [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
                    k / n, 1.0 - k / n,
                    *data.draw(st.lists(st.floats(0.0, 1.0), max_size=8), label="weights")]
-        pairs = _raw_pairs(n, k, weights)
-        assert len(pairs) == len(weights)
-        for a, pair in zip(weights, pairs):
-            assert pair == (raw_outcome_prob(n, k, a), raw_outcome_prob(n, n - k, a)), a
+        rows = _prob_rows(n, k, weights)
+        assert len(rows) == len(weights)
+        for a, (_, *pair) in zip(weights, rows):
+            assert pair == [raw_outcome_prob(n, k, a), raw_outcome_prob(n, n - k, a)], a
 
     @given(n=st.integers(2, 64), p00=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_completeness(self, n, p00):
         total = sum(raw_outcome_prob(n, k, p00) for k in range(n + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_log_raw(n, k, p00):
+    """Log of raw outcome k, evaluated term by term: the reference for every scalar path.
+
+    Below 1/2 through the mirrored pair (n-k, 1-p00), with the smaller of
+    k, n-k at exactly 1/2, the lgamma log-binomial, and libm log and log1p.
+    """
+    if p00 < 0.5:
+        k, p00 = n - k, 1.0 - p00
+    if p00 == 0.5 and k > n - k:
+        k = n - k
+    if p00 == 1.0:
+        return 0.0 if k == 0 else float("-inf")
+    lo, hi = sorted((k, n - k))
+    log_binom = math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(hi + 1)
+    return min(0.0, log_binom + (n - k) * math.log(p00) + k * math.log1p(-p00))
+
+
+class TestScalarReference:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_public_scalars_bit_identical(self, data):
+        n = data.draw(st.integers(1, 10**6), label="n")
+        k = data.draw(st.integers(0, n), label="k")
+        weights = [0.0, -0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+                   k / n, *data.draw(st.lists(st.floats(0.0, 1.0), max_size=8), label="weights")]
+        canonical = min(k, n - k)
+        for a in weights:
+            la, lb = reference_log_raw(n, k, a), reference_log_raw(n, n - k, a)
+            assert log_raw_outcome_prob(n, k, a).value == la, a
+            assert raw_outcome_prob(n, k, a) == math.exp(la), a
+            if canonical == 0:
+                continue
+            spec = DickeSpec(n, canonical)
+            lc, ld = (la, lb) if canonical == k else (lb, la)
+            if 2 * canonical == n:
+                assert folded_prob(spec, a) == math.exp(lc), a
+                assert log_folded_prob(spec, a).value == lc, a
+            else:
+                assert folded_prob(spec, a) == math.exp(lc) + math.exp(ld), a
+                assert log_folded_prob(spec, a).value == min(0.0, float(np.logaddexp(lc, ld))), a
 
 
 class TestFoldedProb:
@@ -200,6 +242,19 @@ class TestDistribution:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             distribution(1, 0.5)
+
+    @pytest.mark.parametrize("p00", [0.0, 0.137, 0.5, math.nextafter(0.5, 0.0), 0.77, 1.0])
+    def test_logs_equal_scalar_logs(self, p00):
+        n = 301
+        expected = [log_raw_outcome_prob(n, k, p00).value for k in range(n + 1)]
+        np.testing.assert_array_equal(_log_raw_all_k(n, p00), expected)
+
+    @pytest.mark.parametrize("p00", [0.5, math.nextafter(0.5, 0.0)])
+    def test_mirror_symmetry_bit_exact_at_half(self, p00):
+        # 1 - nextafter(1/2, 0) rounds to 1/2, so both weights are evaluated there
+        for n in range(2, 400):
+            raw = distribution(n, p00).raw
+            np.testing.assert_array_equal(raw, raw[::-1], err_msg=f"n = {n}")
 
     def test_matches_scalar_engine(self):
         n, p00 = 23, 0.137
