@@ -43,12 +43,20 @@ class BipartiteMeasure(Enum):
 
 
 def binary_entropy(p: float) -> float:
-    """H2(p) in bits, with the 0 log 0 = 0 limit at the endpoints."""
+    """H2(p) in bits, with the 0 log 0 = 0 limit at the endpoints.
+
+    Evaluated at min(p, 1 - p), where 1 - p is exact for p > 1/2, with
+    log1p for the log of the complement: the relative error is at most
+    1e-15 for normal p, and H2(p) == H2(1 - p) whenever 1 - (1 - p) == p.
+    Subnormal p (or 1 - p) loses precision with its significand.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
+    if p > 0.5:
+        p = 1.0 - p
+    if p == 0.0:
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return -p * math.log2(p) - (1.0 - p) * math.log1p(-p) / math.log(2.0)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

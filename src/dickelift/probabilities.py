@@ -111,23 +111,9 @@ class LogProb:
         if math.isnan(self.value) or self.value > 0.0:
             raise ValueError(f"not a log-probability: {self.value!r}")
 
-    @classmethod
-    def zero(cls) -> "LogProb":
-        return cls(float("-inf"))
-
-    @classmethod
-    def from_linear(cls, p: float) -> "LogProb":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-        return cls(math.log(p)) if p > 0.0 else cls.zero()
-
     @property
     def linear(self) -> float:
         return math.exp(self.value)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == float("-inf")
 
 
 def _log_pairs(n: int, k: int, weights) -> list[tuple[float, float]]:
@@ -261,26 +247,34 @@ class OutcomeDistribution:
 
     n: int
     raw: np.ndarray
-    folded: np.ndarray
 
     def __post_init__(self):
-        if self.raw.shape != (self.n + 1,):
-            raise ValueError("raw must have n + 1 entries")
+        if self.n < 1 or self.raw.shape != (self.n + 1,):
+            raise ValueError("raw must have n + 1 entries, n >= 1")
         if np.any(self.raw < 0.0) or np.any(self.raw > 1.0):
             raise ValueError("raw entries must lie in [0, 1]")
-        if abs(self.raw.sum() - 1.0) > _NORM_TOL:
-            raise ValueError(f"raw probabilities sum to {self.raw.sum()!r}, not 1")
+        total = float(self.raw.sum())
+        if abs(total - 1.0) > _NORM_TOL:
+            raise ValueError(f"raw probabilities sum to {total!r}, not 1")
+
+    @property
+    def folded(self) -> np.ndarray:
+        """The folded law, built from raw on each access."""
+        return _fold(self.raw)
 
     @property
     def failure(self) -> float:
-        return float(self.folded[0])
+        return float(self.raw[0] + self.raw[-1])
 
 
 def distribution(n, p00) -> OutcomeDistribution:
-    """Full raw and folded outcome distribution for n pairs."""
+    """Full raw outcome distribution for n pairs; its folded view is derived."""
     n = _as_int(n, "n")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     p00 = _check_p00(p00)
     raw = np.exp(_log_raw_all_k(n, p00))
-    return OutcomeDistribution(n=n, raw=raw, folded=_fold(raw))
+    try:
+        return OutcomeDistribution(n=n, raw=raw)
+    except ValueError as exc:
+        raise ValueError(f"distribution(n={n}, p00={p00!r}): {exc}") from None

@@ -9,9 +9,9 @@ enumeration.
 The measured register is perfectly correlated with the remote one, so a
 single array of 2^n amplitudes indexed by the remote bitstring represents
 the full pre-measurement state. A heralded branch keeps only its weight-k
-sector: the weight-k bitstrings and their amplitudes, so the n + 1
-branches together hold 2^n amplitudes. Index bit conventions: site 0 is
-the most significant bit of the integer index.
+sector: the amplitudes of the weight-k bitstrings in increasing order,
+so the n + 1 branches together hold 2^n amplitudes. Index bit
+conventions: site 0 is the most significant bit of the integer index.
 """
 
 from __future__ import annotations
@@ -76,49 +76,43 @@ class CorrelatedState:
 class ConditionalState:
     """Remote n-qubit state conditioned on herald outcome k.
 
-    `support` lists every bitstring of Hamming weight outcome_k in
-    increasing order and `sector` holds their renormalized amplitudes;
-    all other amplitudes are zero. probability is the weight of the
-    branch. A branch of probability zero carries an all-zero sector.
+    `sector` holds the renormalized amplitudes of the bitstrings of Hamming
+    weight outcome_k, in increasing order; all other amplitudes are zero.
+    probability is the weight of the branch. A branch of probability zero
+    carries an all-zero sector.
     """
 
     n: int
     outcome_k: int
-    support: np.ndarray
     sector: np.ndarray
     probability: float
 
     def __post_init__(self):
-        n, k, support = self.n, self.outcome_k, self.support
+        n, k = self.n, self.outcome_k
         if not 1 <= n <= ORACLE_MAX_QUBITS:
             raise ValueError(f"n must lie in [1, {ORACLE_MAX_QUBITS}], got {n}")
         if not 0 <= k <= n:
             raise ValueError(f"outcome_k must lie in [0, n], got {k}")
         if not 0.0 <= self.probability <= 1.0 + _NORM_TOL:
             raise ValueError(f"probability {self.probability!r} outside [0, 1]")
-        if (support.ndim != 1 or support.shape != self.sector.shape
-                or not np.issubdtype(support.dtype, np.integer)):
-            raise ValueError("support and sector must be 1-D arrays of one length, "
-                             "support of integers")
-        if support.size != _sector_sizes(n)[k]:
-            raise ValueError(f"support has {support.size} entries; {_sector_sizes(n)[k]} "
-                             f"bitstrings of {n} bits have weight {k}")
-        if support[0] < 0 or support[-1] >= 1 << n:
-            raise ValueError(f"support must lie in [0, 2^{n})")
-        if (support[1:] <= support[:-1]).any():
-            raise ValueError("support must be strictly increasing")
-        if (np.bitwise_count(support) != k).any():
-            raise ValueError("support leaks outside the fixed-weight subspace")
+        if self.sector.shape != (_sector_sizes(n)[k],):
+            raise ValueError(f"sector must be 1-D with {_sector_sizes(n)[k]} entries, "
+                             f"one per {n}-bit string of weight {k}")
         if self.probability > 0.0:
             norm = float(np.sum(np.abs(self.sector) ** 2))
             if abs(norm - 1.0) > _NORM_TOL:
                 raise ValueError(f"conditional state norm^2 is {norm!r}, not 1")
 
     @property
+    def support(self) -> np.ndarray:
+        """The weight-outcome_k bitstrings in increasing order, built on each access."""
+        return np.flatnonzero(_hamming_weights(self.n) == self.outcome_k)
+
+    @property
     def amps(self) -> np.ndarray:
         """Dense 2^n amplitude array, built on each access."""
         dense = np.zeros(1 << self.n, dtype=complex)
-        dense[self.support] = self.sector
+        dense[_hamming_weights(self.n) == self.outcome_k] = self.sector
         return dense
 
 
@@ -153,18 +147,15 @@ def measure_fock(state: CorrelatedState) -> list[ConditionalState]:
     n = state.n
     # a stable sort by weight lists each sector's bitstrings in increasing order
     order = np.argsort(_hamming_weights(n), kind="stable")
-    order.flags.writeable = False
     branches = []
     start = 0
     for k, size in enumerate(_sector_sizes(n)):
-        support = order[start:start + size]
+        sector = state.amps[order[start:start + size]]
         start += size
-        sector = state.amps[support]
         prob = float(np.sum(np.abs(sector) ** 2))
         if prob > 0.0:
             sector /= math.sqrt(prob)
-        branches.append(ConditionalState(n=n, outcome_k=k, support=support,
-                                         sector=sector, probability=prob))
+        branches.append(ConditionalState(n=n, outcome_k=k, sector=sector, probability=prob))
     return branches
 
 
@@ -188,7 +179,7 @@ def dicke_fidelity(cond: ConditionalState) -> float:
     """
     if cond.outcome_k in (0, cond.n):
         raise ValueError("outcome 0 or n is a separable branch, not a Dicke state")
-    overlap = np.sum(cond.sector) / math.sqrt(cond.support.size)
+    overlap = np.sum(cond.sector) / math.sqrt(cond.sector.size)
     return float(abs(overlap) ** 2)
 
 
@@ -201,7 +192,6 @@ def locc_fold(cond: ConditionalState) -> ConditionalState:
     return ConditionalState(
         n=cond.n,
         outcome_k=cond.n - cond.outcome_k,
-        support=((1 << cond.n) - 1) - cond.support[::-1],
         sector=cond.sector[::-1].copy(),
         probability=cond.probability,
     )

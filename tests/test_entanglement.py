@@ -1,7 +1,10 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 
 from dickelift import (
@@ -9,6 +12,7 @@ from dickelift import (
     DickeSpec,
     SourceState,
     asymptotic_prob,
+    binary_entropy,
     check_locc_bound,
     critical_threshold,
     dicke_single_qubit_entanglement,
@@ -23,6 +27,36 @@ from dickelift.statevector import build_state, measure_fock, reduced_single_qubi
 
 ENTROPY = BipartiteMeasure.VON_NEUMANN_ENTROPY
 TANGLE = BipartiteMeasure.TWO_TANGLE
+
+
+def _entropy_reference(p: float) -> float:
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        return float(-(p * mpmath.log(p) + (1 - p) * mpmath.log1p(-p)) / mpmath.log(2))
+
+
+_NORMAL_P = st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True)
+
+
+class TestBinaryEntropy:
+    @pytest.mark.parametrize("p", [sys.float_info.min, 1e-300, 1e-14, 1e-10, 1e-6, 0.3, 0.5,
+                                   1 - 1e-6, 1 - 1e-10, 1 - 1e-14, math.nextafter(1.0, 0.0)])
+    def test_relative_error_at_points(self, p):
+        assert binary_entropy(p) == pytest.approx(_entropy_reference(p), rel=1e-15, abs=0)
+
+    @given(_NORMAL_P, st.booleans())
+    def test_relative_error(self, p, complement):
+        p = 1.0 - p if complement else p
+        assume(p < 1.0)
+        assert binary_entropy(p) == pytest.approx(_entropy_reference(p), rel=1e-15, abs=0)
+
+    @given(_NORMAL_P)
+    def test_symmetric_where_complement_exact(self, p):
+        if 1.0 - (1.0 - p) == p:
+            assert binary_entropy(p) == binary_entropy(1.0 - p)
+
+    def test_endpoints(self):
+        assert binary_entropy(0.0) == binary_entropy(1.0) == 0.0
 
 
 class TestSourceEntanglement:

@@ -31,3 +31,13 @@ def test_import_does_not_load_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_runtime_imports_only_numpy_stack():
+    # scipy, mpmath, sympy, hypothesis and pytest are test-only dependencies
+    test_only = ("scipy", "mpmath", "sympy", "hypothesis", "pytest")
+    code = ("import dickelift, dickelift.cli, sys; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {test_only!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from dickelift import (
     DickeSpec,
     LogProb,
+    OutcomeDistribution,
     SourceState,
     distribution,
     failure_prob,
@@ -48,13 +49,6 @@ class TestDickeSpec:
 
 
 class TestLogProb:
-    def test_zero_sentinel(self):
-        z = LogProb.zero()
-        assert z.is_zero and z.linear == 0.0
-
-    def test_roundtrip(self):
-        assert LogProb.from_linear(0.25).linear == pytest.approx(0.25, rel=1e-15)
-
     def test_rejects_positive_log(self):
         with pytest.raises(ValueError):
             LogProb(0.5)
@@ -242,6 +236,19 @@ class TestDistribution:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             distribution(1, 0.5)
+
+    def test_rejects_empty_law(self):
+        # with n = 0 the failure entry raw[0] + raw[n] would count one outcome twice
+        with pytest.raises(ValueError, match="n >= 1"):
+            OutcomeDistribution(0, np.array([1.0]))
+
+    def test_normalisation_error_names_input(self):
+        # the log-binomial kernel's rounding fails the 1e-12 check at this size
+        with pytest.raises(ValueError) as info:
+            distribution(5000, 0.3)
+        message = str(info.value)
+        assert message.startswith("distribution(n=5000, p00=0.3): raw probabilities sum to 1.0")
+        assert "np.float64" not in message
 
     @pytest.mark.parametrize("p00", [0.0, 0.137, 0.5, math.nextafter(0.5, 0.0), 0.77, 1.0])
     def test_logs_equal_scalar_logs(self, p00):
