@@ -158,11 +158,16 @@ def bifurcation_diagram(k, n_min, n_max) -> list[BifurcationPoint]:
 
 
 def asymptotic_prob(k) -> float:
-    """Limiting success probability k^k e^-k / k! of the optimal source."""
+    """Limiting success probability k^k e^-k / k! of the optimal source, to 1e-13 relative."""
     k = _as_int(k, "k")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    return math.exp(k * math.log(k) - k - math.lgamma(k + 1))
+    if k < 16:
+        return math.exp(k * math.log(k) - k - math.lgamma(k + 1))
+    # past 15, k log k - k - lgamma(k + 1) cancels: sum the Stirling series of k! to k^-7
+    inv2 = (1.0 / k) ** 2
+    s = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680))) / k
+    return math.exp(-s) / math.sqrt(2 * math.pi * k)
 
 
 def asymptotic_expansion(spec: DickeSpec) -> float:
@@ -178,6 +183,4 @@ def asymptotic_expansion(spec: DickeSpec) -> float:
 
 def asymptotic_source(spec: DickeSpec) -> SourceState:
     """Lower-branch large-n optimal source, weight k/n (mirror: swap amplitudes)."""
-    if spec.n <= spec.k:
-        raise ValueError(f"need n > k, got n={spec.n}, k={spec.k}")
     return SourceState.from_p00(spec.k / spec.n)

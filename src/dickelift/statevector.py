@@ -2,9 +2,9 @@
 
 This is the ground truth the closed-form engine is checked against, so it
 deliberately avoids binomial and power formulas: the global state is built
-by repeated tensor products, herald outcomes are Hamming weights obtained
-by bit counting, and sector sizes and Dicke normalizations come from
-enumeration.
+by repeated tensor products, and the bitstrings of each Hamming weight
+are enumerated by bit counting, once per n, into one shared read-only
+table (4 bytes per bitstring) that gives every sector and its size.
 
 The measured register is perfectly correlated with the remote one, so a
 single array of 2^n amplitudes indexed by the remote bitstring represents
@@ -44,17 +44,16 @@ _NORM_TOL = 1e-12
 
 
 @functools.cache
-def _hamming_weights(n: int) -> np.ndarray:
-    """Read-only Hamming weight of every n-bit index (1 byte each)."""
+def _supports(n: int) -> tuple[np.ndarray, ...]:
+    """Weight-k n-bit strings in increasing order for k = 0..n, read-only int32.
+
+    Callers check n <= ORACLE_MAX_QUBITS first, so the cache stays below 8 MiB.
+    """
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    weights.flags.writeable = False
-    return weights
-
-
-@functools.cache
-def _sector_sizes(n: int) -> tuple[int, ...]:
-    """Number of n-bit strings of each weight 0..n, counted by enumeration."""
-    return tuple(np.bincount(_hamming_weights(n), minlength=n + 1).tolist())
+    supports = tuple(np.flatnonzero(weights == k).astype(np.int32) for k in range(n + 1))
+    for support in supports:
+        support.flags.writeable = False
+    return supports
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +64,8 @@ class CorrelatedState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.amps.shape != (1 << self.n,):
-            raise ValueError("amps must have 2^n entries")
+        if not 1 <= self.n <= ORACLE_MAX_QUBITS or self.amps.shape != (1 << self.n,):
+            raise ValueError(f"amps must have 2^n entries, n in [1, {ORACLE_MAX_QUBITS}]")
         norm = float(np.sum(np.abs(self.amps) ** 2))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm^2 is {norm!r}, not 1")
@@ -76,10 +75,9 @@ class CorrelatedState:
 class ConditionalState:
     """Remote n-qubit state conditioned on herald outcome k.
 
-    `sector` holds the renormalized amplitudes of the bitstrings of Hamming
-    weight outcome_k, in increasing order; all other amplitudes are zero.
-    probability is the weight of the branch. A branch of probability zero
-    carries an all-zero sector.
+    `sector` holds the renormalized amplitudes on `support`, all others being
+    zero; probability is the weight of the branch. A branch of probability
+    zero carries an all-zero sector.
     """
 
     n: int
@@ -95,8 +93,8 @@ class ConditionalState:
             raise ValueError(f"outcome_k must lie in [0, n], got {k}")
         if not 0.0 <= self.probability <= 1.0 + _NORM_TOL:
             raise ValueError(f"probability {self.probability!r} outside [0, 1]")
-        if self.sector.shape != (_sector_sizes(n)[k],):
-            raise ValueError(f"sector must be 1-D with {_sector_sizes(n)[k]} entries, "
+        if self.sector.shape != (len(_supports(n)[k]),):
+            raise ValueError(f"sector must be 1-D with {len(_supports(n)[k])} entries, "
                              f"one per {n}-bit string of weight {k}")
         if self.probability > 0.0:
             norm = float(np.sum(np.abs(self.sector) ** 2))
@@ -105,14 +103,14 @@ class ConditionalState:
 
     @property
     def support(self) -> np.ndarray:
-        """The weight-outcome_k bitstrings in increasing order, built on each access."""
-        return np.flatnonzero(_hamming_weights(self.n) == self.outcome_k)
+        """The weight-outcome_k bitstrings in increasing order, shared and read-only."""
+        return _supports(self.n)[self.outcome_k]
 
     @property
     def amps(self) -> np.ndarray:
         """Dense 2^n amplitude array, built on each access."""
         dense = np.zeros(1 << self.n, dtype=complex)
-        dense[_hamming_weights(self.n) == self.outcome_k] = self.sector
+        dense[self.support] = self.sector
         return dense
 
 
@@ -144,18 +142,13 @@ def measure_fock(state: CorrelatedState) -> list[ConditionalState]:
     Returns n + 1 conditional states; entry k has probability equal to the
     squared norm of the weight-k slice, and the probabilities sum to 1.
     """
-    n = state.n
-    # a stable sort by weight lists each sector's bitstrings in increasing order
-    order = np.argsort(_hamming_weights(n), kind="stable")
     branches = []
-    start = 0
-    for k, size in enumerate(_sector_sizes(n)):
-        sector = state.amps[order[start:start + size]]
-        start += size
+    for k, support in enumerate(_supports(state.n)):
+        sector = state.amps[support]
         prob = float(np.sum(np.abs(sector) ** 2))
         if prob > 0.0:
             sector /= math.sqrt(prob)
-        branches.append(ConditionalState(n=n, outcome_k=k, sector=sector, probability=prob))
+        branches.append(ConditionalState(n=state.n, outcome_k=k, sector=sector, probability=prob))
     return branches
 
 
@@ -166,8 +159,10 @@ def dicke_state_amplitudes(n: int, k: int) -> np.ndarray:
         raise ValueError(f"n must lie in [1, {ORACLE_MAX_QUBITS}], got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, n] = [0, {n}], got {k}")
-    support = _hamming_weights(n) == k
-    return support.astype(complex) / math.sqrt(_sector_sizes(n)[k])
+    support = _supports(n)[k]
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[support] = 1.0 / math.sqrt(support.size)
+    return amps
 
 
 def dicke_fidelity(cond: ConditionalState) -> float:

@@ -229,6 +229,15 @@ class TestAsymptotics:
         assert abs(asymptotic_prob(3) - 0.224) < 5e-4
         assert asymptotic_prob(2) == pytest.approx(2 * math.exp(-2), rel=1e-14)
 
+    def test_limit_relative_error_against_mpmath(self):
+        # the docstring's bound; k log k - k - lgamma(k + 1) was 6.8e-10 off at k = 10^6
+        ks = [*range(1, 200), 12345, 2**31 - 1, *(10**j for j in range(3, 13))]
+        with mpmath.workdps(50):
+            for k in ks:
+                mk = mpmath.mpf(k)
+                exact = mpmath.exp(mk * mpmath.log(mk) - mk - mpmath.loggamma(mk + 1))
+                assert abs(asymptotic_prob(k) - exact) / exact < 1e-13, k
+
     def test_limit_matches_large_n_optimum(self):
         point = optimize_source(DickeSpec(10**6, 8))
         assert asymptotic_prob(8) == pytest.approx(point.p_opt, rel=1e-4)

@@ -1,10 +1,13 @@
-"""The README quick start runs as written and its comments quote true values."""
+"""The README examples run as written and their comments quote true values."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from dickelift import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 _LITERAL_NODES = (ast.Expression, ast.Constant, ast.Tuple, ast.List, ast.BinOp, ast.Div,
@@ -46,3 +49,13 @@ def test_quick_start_values():
             assert approximate == (not np.array_equal(value, quoted)), code
         checked += 1
     assert checked == 5
+
+
+def test_command_line_examples_exit_zero(tmp_path):
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README.read_text(), re.S)[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert [argv[0] for argv in commands] == ["dickelift"] * 6
+    for i, argv in enumerate(commands):
+        output = tmp_path / f"{i}.out"
+        assert cli.main(argv[1:] + ["--output", str(output)]) == 0, argv
+        assert output.stat().st_size > 0, argv

@@ -48,6 +48,13 @@ class TestBuildState:
         with pytest.raises(ValueError):
             build_state(EPR, ORACLE_MAX_QUBITS + 1)
 
+    def test_correlated_state_capacity(self):
+        # measure_fock enumerates the support table of any state it is given
+        n = ORACLE_MAX_QUBITS + 1
+        amps = np.broadcast_to(np.complex128(2 ** (-n / 2)), (1 << n,))
+        with pytest.raises(ValueError, match="2\\^n entries, n in"):
+            statevector.CorrelatedState(n, amps)
+
 
 class TestMeasureFock:
     def test_epr_three_pair_probabilities(self):
@@ -161,6 +168,19 @@ class TestReducedSingleQubit:
                     assert_allclose(reduced_single_qubit(branch, site),
                                     single_qubit_density(branch.amps, site), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_sector_every_site(self, n):
+        # Dicke branches are symmetric under site permutations, so only a
+        # random sector tells the most significant bit (site 0) from the least
+        rng = np.random.default_rng(100 + n)
+        for k in range(n + 1):
+            size = math.comb(n, k)
+            sector = rng.normal(size=size) + 1j * rng.normal(size=size)
+            cond = ConditionalState(n, k, sector / np.linalg.norm(sector), 1.0)
+            for site in range(n):
+                assert_allclose(reduced_single_qubit(cond, site),
+                                single_qubit_density(cond.amps, site), rtol=0, atol=1e-14)
+
     def test_peak_memory_below_one_dense_array(self):
         n = 16
         cond = measure_fock(build_state(PHASED, n))[8]
@@ -194,7 +214,7 @@ class TestDickeReference:
         def no_enumeration(n):
             raise AssertionError(f"enumerated 2^{n} bitstrings for a rejected input")
 
-        monkeypatch.setattr(statevector, "_hamming_weights", no_enumeration)
+        monkeypatch.setattr(statevector, "_supports", no_enumeration)
         with pytest.raises(ValueError, match=f"^{name} must lie in"):
             dicke_state_amplitudes(n, k)
 
@@ -259,10 +279,15 @@ class TestSectorLayout:
         with pytest.raises(AttributeError):
             b.amps = first
 
-    def test_weight_table_cached_read_only(self):
-        weights = statevector._hamming_weights(6)
-        assert statevector._hamming_weights(6) is weights
-        assert not weights.flags.writeable
+    def test_support_table_cached_read_only(self):
+        supports = statevector._supports(6)
+        assert statevector._supports(6) is supports
+        assert [s.dtype for s in supports] == [np.int32] * 7
+        assert not any(s.flags.writeable for s in supports)
+        b = measure_fock(build_state(_phase_source(0.6), 6))[2]
+        assert b.support is b.support is supports[2]
+        with pytest.raises(ValueError, match="read-only"):
+            b.support[0] = 0
 
     def _branch(self):
         return measure_fock(build_state(_phase_source(0.45), 5))[2]
