@@ -92,9 +92,7 @@ def dicke_single_qubit_entanglement(spec: DickeSpec, kind: BipartiteMeasure) -> 
 
 def ghz_single_qubit_entanglement(n) -> float:
     """One GHZ qubit against the rest: exactly 1 ebit for every n."""
-    n = _as_int(n, "n")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    _as_int(n, "n", 2)
     return 1.0
 
 

@@ -55,16 +55,12 @@ class CriticalThreshold:
 
 def critical_threshold(k) -> CriticalThreshold:
     """Threshold above which the optimal source weight leaves 1/2."""
-    k = _as_int(k, "k")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = _as_int(k, "k", 1)
     root = math.isqrt(8 * k + 1)
     exact = root * root == 8 * k + 1
     eta_c = 2 * k + 0.5 + math.sqrt(2 * k + 0.25)
-    if exact:
-        n_c = 2 * k + (1 + root) // 2
-    else:
-        n_c = math.ceil(eta_c)
+    # ceil(2k + (1 + sqrt(8k + 1))/2) in integers: the float eta_c loses it from k ~ 1e11
+    n_c = 2 * k + (root + (1 if exact else 3)) // 2
     return CriticalThreshold(k=k, eta_c=eta_c, n_c=n_c, eta_is_integer=exact)
 
 
@@ -148,20 +144,14 @@ def optimize_source(spec: DickeSpec) -> BifurcationPoint:
 def bifurcation_diagram(k, n_min, n_max) -> list[BifurcationPoint]:
     """Optimal-weight branches for every n in [n_min, n_max]."""
     k = _as_int(k, "k")
-    n_min = _as_int(n_min, "n_min")
-    n_max = _as_int(n_max, "n_max")
-    if n_min < 2 * k:
-        raise ValueError(f"n_min must be at least 2k = {2 * k}, got {n_min}")
-    if n_max < n_min:
-        raise ValueError(f"empty range: n_max = {n_max} < n_min = {n_min}")
+    n_min = _as_int(n_min, "n_min", 2 * k)
+    n_max = _as_int(n_max, "n_max", n_min)
     return [optimize_source(DickeSpec(n, k)) for n in range(n_min, n_max + 1)]
 
 
 def asymptotic_prob(k) -> float:
     """Limiting success probability k^k e^-k / k! of the optimal source, to 1e-13 relative."""
-    k = _as_int(k, "k")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = _as_int(k, "k", 1)
     if k < 16:
         return math.exp(k * math.log(k) - k - math.lgamma(k + 1))
     # past 15, k log k - k - lgamma(k + 1) cancels: sum the Stirling series of k! to k^-7

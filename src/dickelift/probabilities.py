@@ -33,11 +33,17 @@ __all__ = [
 _NORM_TOL = 1e-12
 
 
-def _as_int(value, name: str) -> int:
+def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int, at least lo and at most hi where given; each error names the input."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+    return value
 
 
 def _check_p00(p00: float) -> float:
@@ -87,14 +93,8 @@ class DickeSpec:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _as_int(self.n, "n"))
-        object.__setattr__(self, "k", _as_int(self.k, "k"))
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
-        if not 1 <= self.k <= self.n // 2:
-            raise ValueError(
-                f"k must satisfy 1 <= k <= n//2 = {self.n // 2}, got k={self.k}"
-            )
+        object.__setattr__(self, "n", _as_int(self.n, "n", 2))
+        object.__setattr__(self, "k", _as_int(self.k, "k", 1, self.n // 2))
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,8 @@ def _prob_rows(n: int, k: int, weights) -> list[tuple[float, float, float]]:
 
 
 def _log_raw(n, k, p00) -> float:
-    n = _as_int(n, "n")
-    k = _as_int(k, "k")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, n] = [0, {n}], got {k}")
+    n = _as_int(n, "n", 1)
+    k = _as_int(k, "k", 0, n)
     return _log_pairs(n, k, [_check_p00(p00)])[0][0]
 
 
@@ -195,9 +191,7 @@ def folded_prob(spec: DickeSpec, p00) -> float:
 
 def failure_prob(n, p00) -> float:
     """Probability of the two separable outcomes, p00^n + (1-p00)^n."""
-    n = _as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _as_int(n, "n", 1)
     p00 = _check_p00(p00)
     return p00**n + (1.0 - p00) ** n
 
@@ -205,22 +199,24 @@ def failure_prob(n, p00) -> float:
 def _log_raw_all_k(n: int, p00: float) -> np.ndarray:
     """Log outcome probabilities for every k = 0..n, the same doubles as _log_pairs gives.
 
-    numpy's exp of them differs from libm's in the last bit for a few percent of entries.
+    As there, outcome k is evaluated at j = n - k with p = 1 - p00 below 1/2, and at
+    j = min(k, n - k) at exactly 1/2, in one contiguous pass, so that the exp of the
+    mirrored law is the reversed exp bit for bit. numpy's exp differs from libm's in
+    the last bit for a few percent of entries.
     """
-    if p00 < 0.5:
-        return _log_raw_all_k(n, 1.0 - p00)[::-1]
-    out = np.full(n + 1, float("-inf"))
-    if p00 == 1.0:
-        out[0] = 0.0
+    mirror = p00 < 0.5
+    p = 1.0 - p00 if mirror else p00
+    if p == 1.0:  # only one outcome can occur, and log1p(-1) is undefined
+        out = np.full(n + 1, float("-inf"))
+        out[n if mirror else 0] = 0.0
         return out
     k = np.arange(n + 1)
     lo = np.minimum(k, n - k)
-    if p00 == 0.5:
-        k = lo
+    j = lo if p == 0.5 else (n - k if mirror else k)
     # log j! for j = 0..n, from the lgamma the scalar path uses
     log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     log_binom = log_fact[n] - log_fact[lo] - log_fact[n - lo]
-    out = log_binom + (n - k) * math.log(p00) + k * math.log1p(-p00)
+    out = log_binom + (n - j) * math.log(p) + j * math.log1p(-p)
     np.minimum(out, 0.0, out=out)
     return out
 
@@ -249,7 +245,7 @@ class OutcomeDistribution:
     raw: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.raw.shape != (self.n + 1,):
+        if _as_int(self.n, "n") < 1 or self.raw.shape != (self.n + 1,):
             raise ValueError("raw must have n + 1 entries, n >= 1")
         if np.any(self.raw < 0.0) or np.any(self.raw > 1.0):
             raise ValueError("raw entries must lie in [0, 1]")
@@ -269,9 +265,7 @@ class OutcomeDistribution:
 
 def distribution(n, p00) -> OutcomeDistribution:
     """Full raw outcome distribution for n pairs; its folded view is derived."""
-    n = _as_int(n, "n")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    n = _as_int(n, "n", 2)
     p00 = _check_p00(p00)
     raw = np.exp(_log_raw_all_k(n, p00))
     try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probabilities import _as_int, _check_p00, _fold, distribution
+from .probabilities import _as_int, _fold, distribution
 
 __all__ = ["RunBatch", "RunRecord", "YieldReport", "sample_runs", "yield_report"]
 
@@ -127,18 +127,12 @@ def sample_runs(n, p00, runs, seed) -> RunBatch:
     and u = Generator(Philox(key=seed)).random(runs). The batch is a pure
     function of (n, p00, runs, seed).
     """
-    n = _as_int(n, "n")
-    runs = _as_int(runs, "runs")
-    seed = _as_int(seed, "seed")
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    p00 = _check_p00(p00)
-
-    raw = np.concatenate(list(_outcome_chunks(distribution(n, p00).raw, runs, seed)))
+    runs = _as_int(runs, "runs", 1)
+    seed = _as_int(seed, "seed", 0, 2**64 - 1)
+    law = distribution(n, p00)
+    raw = np.concatenate(list(_outcome_chunks(law.raw, runs, seed)))
     raw.flags.writeable = False
-    return RunBatch(n, raw)
+    return RunBatch(law.n, raw)
 
 
 def _report(counts: np.ndarray) -> YieldReport:
@@ -166,7 +160,7 @@ def yield_report(records: Sequence[RunRecord], n) -> YieldReport:
     records is a RunBatch or any sequence of RunRecord. Only the raw herald
     outcomes are read; classes and failures follow from them.
     """
-    n = _as_int(n, "n")
+    n = _as_int(n, "n", 1)
     if not records:
         raise ValueError("records must be nonempty")
     if isinstance(records, RunBatch):

@@ -64,7 +64,8 @@ class CorrelatedState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= ORACLE_MAX_QUBITS or self.amps.shape != (1 << self.n,):
+        n = _as_int(self.n, "n")
+        if not 1 <= n <= ORACLE_MAX_QUBITS or self.amps.shape != (1 << n,):
             raise ValueError(f"amps must have 2^n entries, n in [1, {ORACLE_MAX_QUBITS}]")
         norm = float(np.sum(np.abs(self.amps) ** 2))
         if abs(norm - 1.0) > _NORM_TOL:
@@ -86,11 +87,8 @@ class ConditionalState:
     probability: float
 
     def __post_init__(self):
-        n, k = self.n, self.outcome_k
-        if not 1 <= n <= ORACLE_MAX_QUBITS:
-            raise ValueError(f"n must lie in [1, {ORACLE_MAX_QUBITS}], got {n}")
-        if not 0 <= k <= n:
-            raise ValueError(f"outcome_k must lie in [0, n], got {k}")
+        n = _as_int(self.n, "n", 1, ORACLE_MAX_QUBITS)
+        k = _as_int(self.outcome_k, "outcome_k", 0, n)
         if not 0.0 <= self.probability <= 1.0 + _NORM_TOL:
             raise ValueError(f"probability {self.probability!r} outside [0, 1]")
         if self.sector.shape != (len(_supports(n)[k]),):
@@ -121,13 +119,7 @@ def build_state(source: SourceState, n) -> CorrelatedState:
     amp11; the product construction keeps this path independent of any
     closed-form coefficient formula.
     """
-    n = _as_int(n, "n")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if n > ORACLE_MAX_QUBITS:
-        raise ValueError(
-            f"n = {n} exceeds the statevector capacity of {ORACLE_MAX_QUBITS} qubits"
-        )
+    n = _as_int(n, "n", 2, ORACLE_MAX_QUBITS)
     pair = np.array([source.amp00, source.amp11], dtype=complex)
     amps = pair
     for _ in range(n - 1):
@@ -154,11 +146,8 @@ def measure_fock(state: CorrelatedState) -> list[ConditionalState]:
 
 def dicke_state_amplitudes(n: int, k: int) -> np.ndarray:
     """Reference Dicke state: uniform amplitude on every weight-k bitstring."""
-    n, k = _as_int(n, "n"), _as_int(k, "k")
-    if not 1 <= n <= ORACLE_MAX_QUBITS:
-        raise ValueError(f"n must lie in [1, {ORACLE_MAX_QUBITS}], got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, n] = [0, {n}], got {k}")
+    n = _as_int(n, "n", 1, ORACLE_MAX_QUBITS)
+    k = _as_int(k, "k", 0, n)
     support = _supports(n)[k]
     amps = np.zeros(1 << n, dtype=complex)
     amps[support] = 1.0 / math.sqrt(support.size)
@@ -194,11 +183,10 @@ def locc_fold(cond: ConditionalState) -> ConditionalState:
 
 def single_qubit_density(amps: np.ndarray, site: int) -> np.ndarray:
     """Partial trace of a pure n-qubit state down to one site's 2x2 matrix."""
-    n = int(round(math.log2(amps.size)))
-    if 1 << n != amps.size:
+    if amps.size == 0 or amps.size & (amps.size - 1):
         raise ValueError("amplitude array length must be a power of two")
-    if not 0 <= site < n:
-        raise ValueError(f"site must lie in [0, n), got {site}")
+    n = amps.size.bit_length() - 1
+    site = _as_int(site, "site", 0, n - 1)
     psi = amps.reshape((2,) * n)
     others = tuple(ax for ax in range(n) if ax != site)
     return np.tensordot(psi, psi.conj(), axes=(others, others))
@@ -212,9 +200,7 @@ def reduced_single_qubit(cond: ConditionalState, site) -> np.ndarray:
     diagonal, the sector's squared norm where the site bit is 0 and where
     it is 1. It is summed over the sector without building 2^n amplitudes.
     """
-    site = _as_int(site, "site")
-    if not 0 <= site < cond.n:
-        raise ValueError(f"site must lie in [0, n), got {site}")
+    site = _as_int(site, "site", 0, cond.n - 1)
     weights = np.abs(cond.sector) ** 2
     ones = ((cond.support >> (cond.n - 1 - site)) & 1) == 1
     return np.diag([np.sum(weights[~ones]), np.sum(weights[ones])]).astype(complex)

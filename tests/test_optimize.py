@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -88,6 +89,14 @@ class TestCriticalThreshold:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             critical_threshold(0)
+
+    def test_n_c_is_first_integer_regime_crossing(self):
+        # exact in integers where the float eta_c rounds: at 86771322821 its ceiling is one low
+        rng = random.Random(17)
+        fixed = [1, 2, 3, 10**6, 86771322821, 10**18 - 1, 10**18, 10**30 - 7]
+        for k in fixed + [rng.randrange(1, 10**30) for _ in range(20000)]:
+            n_c = critical_threshold(k).n_c
+            assert (n_c - 2 * k) ** 2 >= n_c > (n_c - 1 - 2 * k) ** 2 + 1, k
 
 
 class TestOptimizeSource:

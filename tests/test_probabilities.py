@@ -263,6 +263,13 @@ class TestDistribution:
             raw = distribution(n, p00).raw
             np.testing.assert_array_equal(raw, raw[::-1], err_msg=f"n = {n}")
 
+    @given(n=st.integers(2, 300), p00=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_mirror_symmetry_bit_exact(self, n, p00):
+        # both laws take exp of the same logs, each in one contiguous pass
+        mirrored = distribution(n, 1.0 - p00).raw[::-1]
+        np.testing.assert_array_equal(distribution(n, p00).raw, mirrored)
+
     def test_matches_scalar_engine(self):
         n, p00 = 23, 0.137
         d = distribution(n, p00)
