@@ -2,9 +2,11 @@
 
 This is the ground truth the closed-form engine is checked against, so it
 deliberately avoids binomial and power formulas: the global state is built
-by repeated tensor products, and the bitstrings of each Hamming weight
-are enumerated by bit counting, once per n, into one shared read-only
-table (4 bytes per bitstring) that gives every sector and its size.
+by repeated tensor products, one site at a time as two strided multiplies
+that equal np.kron's products bit for bit, and the bitstrings of each
+Hamming weight are enumerated by bit counting, once per n, into one shared
+read-only table (4 bytes per bitstring) that gives every sector and its
+size. Every squared norm is one pairwise sum, `_norm2`.
 
 The measured register is perfectly correlated with the remote one, so a
 single array of 2^n amplitudes indexed by the remote bitstring represents
@@ -56,6 +58,17 @@ def _supports(n: int) -> tuple[np.ndarray, ...]:
     return supports
 
 
+def _norm2(x: np.ndarray) -> float:
+    """Squared 2-norm as numpy's pairwise sum of |x|^2.
+
+    Bit for bit np.sum(np.abs(x) ** 2), with one temporary instead of two.
+    No BLAS reduction: its summation order depends on the thread count.
+    """
+    w = np.abs(x)
+    w *= w
+    return float(w.sum())
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelatedState:
     """Pre-measurement state of n pairs, indexed by the remote bitstring."""
@@ -67,7 +80,7 @@ class CorrelatedState:
         n = _as_int(self.n, "n")
         if not 1 <= n <= ORACLE_MAX_QUBITS or self.amps.shape != (1 << n,):
             raise ValueError(f"amps must have 2^n entries, n in [1, {ORACLE_MAX_QUBITS}]")
-        norm = float(np.sum(np.abs(self.amps) ** 2))
+        norm = _norm2(self.amps)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm^2 is {norm!r}, not 1")
 
@@ -95,7 +108,7 @@ class ConditionalState:
             raise ValueError(f"sector must be 1-D with {len(_supports(n)[k])} entries, "
                              f"one per {n}-bit string of weight {k}")
         if self.probability > 0.0:
-            norm = float(np.sum(np.abs(self.sector) ** 2))
+            norm = _norm2(self.sector)
             if abs(norm - 1.0) > _NORM_TOL:
                 raise ValueError(f"conditional state norm^2 is {norm!r}, not 1")
 
@@ -117,14 +130,21 @@ def build_state(source: SourceState, n) -> CorrelatedState:
 
     The amplitude of bitstring j is the product over sites of amp00 or
     amp11; the product construction keeps this path independent of any
-    closed-form coefficient formula.
+    closed-form coefficient formula. Each site is appended by writing the
+    products with amp00 and amp11 into the even and odd entries of a fresh
+    buffer twice the length: the products of np.kron(amps, pair), in its
+    left-fold order, bit for bit. The state is normalised in place.
     """
     n = _as_int(n, "n", 2, ORACLE_MAX_QUBITS)
     pair = np.array([source.amp00, source.amp11], dtype=complex)
+    amp00, amp11 = pair
     amps = pair
     for _ in range(n - 1):
-        amps = np.kron(amps, pair)
-    amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+        grown = np.empty(2 * amps.size, dtype=complex)
+        np.multiply(amps, amp00, out=grown[0::2])
+        np.multiply(amps, amp11, out=grown[1::2])
+        amps = grown
+    amps /= math.sqrt(_norm2(amps))
     return CorrelatedState(n=n, amps=amps)
 
 
@@ -136,8 +156,8 @@ def measure_fock(state: CorrelatedState) -> list[ConditionalState]:
     """
     branches = []
     for k, support in enumerate(_supports(state.n)):
-        sector = state.amps[support]
-        prob = float(np.sum(np.abs(sector) ** 2))
+        sector = state.amps.take(support)
+        prob = _norm2(sector)
         if prob > 0.0:
             sector /= math.sqrt(prob)
         branches.append(ConditionalState(n=state.n, outcome_k=k, sector=sector, probability=prob))
@@ -163,7 +183,7 @@ def dicke_fidelity(cond: ConditionalState) -> float:
     """
     if cond.outcome_k in (0, cond.n):
         raise ValueError("outcome 0 or n is a separable branch, not a Dicke state")
-    overlap = np.sum(cond.sector) / math.sqrt(cond.sector.size)
+    overlap = cond.sector.sum() / math.sqrt(cond.sector.size)
     return float(abs(overlap) ** 2)
 
 
@@ -203,4 +223,4 @@ def reduced_single_qubit(cond: ConditionalState, site) -> np.ndarray:
     site = _as_int(site, "site", 0, cond.n - 1)
     weights = np.abs(cond.sector) ** 2
     ones = ((cond.support >> (cond.n - 1 - site)) & 1) == 1
-    return np.diag([np.sum(weights[~ones]), np.sum(weights[ones])]).astype(complex)
+    return np.diag([weights[~ones].sum(), weights[ones].sum()]).astype(complex)
