@@ -35,8 +35,9 @@ _MAX_SWEEP_STEPS = 10**5
 # Values of n in one `bifurcation` or `decay` run, one optimal-source solve
 # each: at the cap about 9 s and 13 s, at most 121 MB peak RSS, on the same VM.
 _MAX_N_VALUES = 10**5
-# The README's range for n. At the cap, on the same VM: about 0.4 s and 83 MB until
-# `distribution` rejects its law (exit 1); 5 s and 350 (CSV) to 480 MB (JSON) past it.
+# The README's range for n. At the cap, on the same VM: about 0.25 s and 33 MB peak RSS
+# until `distribution` rejects its law (exit 1), where a cold `prob` takes 0.21 s and
+# 29 MB; 5 s and 350 (CSV) to 480 MB (JSON) past it.
 _MAX_SIMULATE_N = 10**6
 
 

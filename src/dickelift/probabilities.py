@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+_LOG_CUT = -746.0  # np.exp returns exactly 0.0 below about -745.13
+# lgamma pairs a window must save per bit of n to pay for its two bisections
+_SEARCH_COST = 16
 
 
 def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -66,7 +69,7 @@ class SourceState:
 
     def __post_init__(self):
         norm = abs(self.amp00) ** 2 + abs(self.amp11) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"source amplitudes are not normalized: |.|^2 sums to {norm!r}")
 
     @property
@@ -196,29 +199,80 @@ def failure_prob(n, p00) -> float:
     return p00**n + (1.0 - p00) ** n
 
 
-def _log_raw_all_k(n: int, p00: float) -> np.ndarray:
-    """Log outcome probabilities for every k = 0..n, the same doubles as _log_pairs gives.
+def _lo_run(n: int, a: int, b: int) -> tuple[int, int]:
+    """The first and last of lo = min(k, n - k) over k = a..b, which is one run of integers."""
+    return min(a, n - b), min(b, n - a, n // 2)
+
+
+def _log_raw_all_k(n: int, p00: float, a: int = 0, b: int | None = None) -> np.ndarray:
+    """Log outcome probabilities for k = a..b (default 0..n), the same doubles as _log_pairs gives.
 
     As there, outcome k is evaluated at j = n - k with p = 1 - p00 below 1/2, and at
     j = min(k, n - k) at exactly 1/2, in one contiguous pass, so that the exp of the
-    mirrored law is the reversed exp bit for bit. numpy's exp differs from libm's in
-    the last bit for a few percent of entries.
+    mirrored law is the reversed exp bit for bit. distribution asks only for its window
+    (_window), outside which every log is below the -746 cut and numpy's exp of it is
+    exactly 0.0; numpy's exp differs from libm's in the last bit for a few percent of
+    entries. log C(n, k) depends on k only through lo = min(k, n - k), so lgamma is
+    taken once at each lo + 1 and n - lo + 1 that k = a..b needs: no O(n) table.
     """
+    b = n if b is None else b
     mirror = p00 < 0.5
     p = 1.0 - p00 if mirror else p00
+    k = np.arange(a, b + 1)
     if p == 1.0:  # only one outcome can occur, and log1p(-1) is undefined
-        out = np.full(n + 1, float("-inf"))
-        out[n if mirror else 0] = 0.0
-        return out
-    k = np.arange(n + 1)
-    lo = np.minimum(k, n - k)
-    j = lo if p == 0.5 else (n - k if mirror else k)
-    # log j! for j = 0..n, from the lgamma the scalar path uses
-    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
-    log_binom = log_fact[n] - log_fact[lo] - log_fact[n - lo]
-    out = log_binom + (n - j) * math.log(p) + j * math.log1p(-p)
+        return np.where(k == (n if mirror else 0), 0.0, -math.inf)
+    n_k = n - k
+    lo = np.minimum(k, n_k)
+    j, n_j = (lo, n - lo) if p == 0.5 else (n_k, k) if mirror else (k, n_k)
+    lo_min, lo_max = _lo_run(n, a, b)
+    size = lo_max - lo_min + 1
+    log_fact_lo = np.fromiter(map(math.lgamma, range(lo_min + 1, lo_max + 2)), float, size)
+    log_fact_hi = np.fromiter(map(math.lgamma, range(n - lo_min + 1, n - lo_max, -1)), float, size)
+    log_binom = (math.lgamma(n + 1) - log_fact_lo - log_fact_hi)[lo - lo_min if lo_min else lo]
+    out = log_binom + n_j * math.log(p) + j * math.log1p(-p)
     np.minimum(out, 0.0, out=out)
     return out
+
+
+def _window(n: int, p00: float) -> tuple[int, int]:
+    """Outcomes a..b holding every k whose log raw is at least _LOG_CUT; np.exp gives 0.0 outside.
+
+    The log law is concave in k, so a..b is one run around k0 = round(n (1 - p00)), and the
+    law lies above its chords from each end to k0: only the outcomes those chords put below
+    the cut can lie outside. Each end of the run is found among them by integer bisection
+    with _log_pairs, whose logs are those of _log_raw_all_k. The window is 0..n when the
+    far end, n log1p(-p) at the weight p >= 1/2 the law is evaluated at, is inside, or when
+    the chords leave too few outcomes outside to pay for the search.
+    """
+    p = max(p00, 1.0 - p00)
+    if p == 1.0:  # a single outcome can occur
+        return (n, n) if p00 < 0.5 else (0, 0)
+    if n * math.log1p(-p) >= _LOG_CUT:
+        return 0, n
+    k0 = round(n * (1.0 - p00))
+    ((log_0, log_n),) = _log_pairs(n, 0, (p00,))
+    log_k0 = _log_pairs(n, k0, (p00,))[0][0]
+
+    def reach(end: int, log_end: float) -> int:  # how many outcomes from end the cut can reach
+        if log_end >= _LOG_CUT:
+            return 0
+        return math.ceil(abs(k0 - end) * (_LOG_CUT - log_end) / (log_k0 - log_end))
+
+    reach_0, reach_n = reach(0, log_0), reach(n, log_n)
+    lo_min, lo_max = _lo_run(n, reach_0, n - reach_n)  # at best, the window's lo
+    if lo_min + n // 2 - lo_max < _SEARCH_COST * n.bit_length():
+        return 0, n
+
+    def edge(out: int, into: int) -> int:  # the inside k nearest an outside out
+        while abs(into - out) > 1:
+            mid = (out + into) // 2
+            if _log_pairs(n, mid, (p00,))[0][0] >= _LOG_CUT:
+                into = mid
+            else:
+                out = mid
+        return into
+
+    return (edge(0, reach_0) if reach_0 else 0), (edge(n, n - reach_n) if reach_n else n)
 
 
 def _fold(raw: np.ndarray) -> np.ndarray:
@@ -247,10 +301,10 @@ class OutcomeDistribution:
     def __post_init__(self):
         if _as_int(self.n, "n") < 1 or self.raw.shape != (self.n + 1,):
             raise ValueError("raw must have n + 1 entries, n >= 1")
-        if np.any(self.raw < 0.0) or np.any(self.raw > 1.0):
+        if self.raw.min() < 0.0 or self.raw.max() > 1.0:
             raise ValueError("raw entries must lie in [0, 1]")
         total = float(self.raw.sum())
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"raw probabilities sum to {total!r}, not 1")
 
     @property
@@ -263,12 +317,30 @@ class OutcomeDistribution:
         return float(self.raw[0] + self.raw[-1])
 
 
+def _raw_law(n: int, p00: float) -> np.ndarray:
+    """The raw law, unvalidated: numpy's exp over the window in one contiguous pass, 0.0 outside."""
+    a, b = _window(n, p00)
+    logs = _log_raw_all_k(n, p00, a, b)
+    if b - a == n:
+        return np.exp(logs)
+    raw = np.zeros(n + 1)
+    raw[a : b + 1] = np.exp(logs)
+    return raw
+
+
 def distribution(n, p00) -> OutcomeDistribution:
-    """Full raw outcome distribution for n pairs; its folded view is derived."""
+    """Full raw outcome distribution for n pairs; its folded view is derived.
+
+    Only the window of outcomes whose log raw is at least -746 is evaluated, since
+    numpy's exp returns exactly 0.0 below about -745.13; every other entry is that
+    0.0, so raw holds the same doubles as numpy's exp over the whole law. The cost is
+    proportional to the window: 35,229 of the 10^6 + 1 outcomes at n = 10^6,
+    p00 = 0.3. Where the window would save too little to pay for finding it (below
+    n = 2,500 at that weight) the whole law is evaluated.
+    """
     n = _as_int(n, "n", 2)
     p00 = _check_p00(p00)
-    raw = np.exp(_log_raw_all_k(n, p00))
     try:
-        return OutcomeDistribution(n=n, raw=raw)
+        return OutcomeDistribution(n=n, raw=_raw_law(n, p00))
     except ValueError as exc:
         raise ValueError(f"distribution(n={n}, p00={p00!r}): {exc}") from None

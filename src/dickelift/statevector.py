@@ -81,7 +81,7 @@ class CorrelatedState:
         if not 1 <= n <= ORACLE_MAX_QUBITS or self.amps.shape != (1 << n,):
             raise ValueError(f"amps must have 2^n entries, n in [1, {ORACLE_MAX_QUBITS}]")
         norm = _norm2(self.amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm^2 is {norm!r}, not 1")
 
 
@@ -109,7 +109,7 @@ class ConditionalState:
                              f"one per {n}-bit string of weight {k}")
         if self.probability > 0.0:
             norm = _norm2(self.sector)
-            if abs(norm - 1.0) > _NORM_TOL:
+            if not abs(norm - 1.0) <= _NORM_TOL:
                 raise ValueError(f"conditional state norm^2 is {norm!r}, not 1")
 
     @property

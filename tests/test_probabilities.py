@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dickelift import (
     log_raw_outcome_prob,
     raw_outcome_prob,
 )
-from dickelift.probabilities import _log_raw_all_k, _prob_rows
+from dickelift.probabilities import _log_raw_all_k, _prob_rows, _raw_law, _window
 from dickelift.statevector import build_state, measure_fock
 
 
@@ -275,6 +276,67 @@ class TestDistribution:
         d = distribution(n, p00)
         per_k = [raw_outcome_prob(n, k, p00) for k in range(n + 1)]
         assert_allclose(d.raw, per_k, rtol=1e-13, atol=1e-300)
+
+
+def _full_logs(n, p00):
+    """The log law at every k from an O(n) table of log factorials: the evaluation without a window."""
+    mirror = p00 < 0.5
+    p = 1.0 - p00 if mirror else p00
+    if p == 1.0:
+        out = np.full(n + 1, -np.inf)
+        out[n if mirror else 0] = 0.0
+        return out
+    k = np.arange(n + 1)
+    lo = np.minimum(k, n - k)
+    j = lo if p == 0.5 else (n - k if mirror else k)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    log_binom = log_fact[n] - log_fact[lo] - log_fact[n - lo]
+    out = log_binom + (n - j) * math.log(p) + j * math.log1p(-p)
+    np.minimum(out, 0.0, out=out)
+    return out
+
+
+EDGE_P00 = [0.0, 1e-12, 0.01, 0.3, 0.5, math.nextafter(0.5, 0.0), 0.7, 0.99, 1 - 1e-12, 1.0]
+
+
+def _assert_same_bits(n, p00):
+    expected = np.exp(_full_logs(n, p00))
+    actual = _raw_law(n, p00)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64)), (n, p00)
+
+
+class TestWindow:
+    """The law evaluated on its window equals numpy's exp over the whole law, bit for bit."""
+
+    @given(n=st.integers(2, 10**5), p00=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_full_evaluation(self, n, p00):
+        _assert_same_bits(n, p00)
+
+    @pytest.mark.parametrize("p00", EDGE_P00)
+    @pytest.mark.parametrize("n", [898, 5000, 10**5, 10**6])
+    def test_equals_full_evaluation_at_large_n(self, n, p00):
+        _assert_same_bits(n, p00)
+
+    @pytest.mark.parametrize("n, p00", [(5000, 0.3), (10**6, 0.3), (10**6, 0.5), (10**6, 1e-12)])
+    def test_window_holds_every_nonzero_entry(self, n, p00):
+        a, b = _window(n, p00)
+        nonzero = np.flatnonzero(np.exp(_full_logs(n, p00)))
+        assert a <= nonzero[0] and nonzero[-1] <= b and b - a < n
+
+    def test_large_law_costs_its_window(self):
+        # the O(n) lgamma table and index arrays peaked at 53.5 MB; raw alone is 8 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                distribution(10**6, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert str(info.value).startswith(
+            "distribution(n=1000000, p00=0.3): raw probabilities sum to")
 
 
 class TestPhaseIndependence:

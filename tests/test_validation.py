@@ -3,7 +3,8 @@
 A non-integer raises TypeError "{name} must be an integer, got {value!r}";
 one past a bound raises ValueError "{name} must be at least {lo}, got {v}"
 or "{name} must lie in [{lo}, {hi}], got {v}". Result records the library
-builds itself (RunBatch, BifurcationPoint, ...) are not checked.
+builds itself (RunBatch, BifurcationPoint, ...) are not checked. A NaN in a
+state or law fails its normalisation check.
 """
 
 import math
@@ -112,3 +113,17 @@ def test_above_highest_names_argument_and_value(call, name, lo, hi):
 def test_empty_amplitudes_are_not_a_state():
     with pytest.raises(ValueError, match="power of two"):
         single_qubit_density(np.zeros(0, dtype=complex), 0)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: OutcomeDistribution(2, np.array([math.nan, 0.5, 0.5])),
+                 id="OutcomeDistribution"),
+    pytest.param(lambda: SourceState(math.nan, 0.0), id="SourceState"),
+    pytest.param(lambda: CorrelatedState(2, np.array([math.nan, 0, 0, 0], dtype=complex)),
+                 id="CorrelatedState"),
+    pytest.param(lambda: ConditionalState(2, 1, np.array([math.nan, 0], dtype=complex), 0.5),
+                 id="ConditionalState"),
+])
+def test_nan_fails_normalisation(build):
+    with pytest.raises(ValueError, match="nan"):
+        build()
