@@ -4,7 +4,9 @@ Every subcommand prints one tabular dataset (CSV by default, JSON
 envelope with --format json; `simulate` defaults to JSON) to stdout or,
 with --output, atomically to a file. Numbers are serialized in shortest
 round-trip form, so parsing the output reproduces the exact doubles.
-Exit codes: 0 success, 2 usage error, 1 internal error.
+Exit codes: 0 success; 1 internal error; 2 usage error, which includes an
+argument outside the library's range (named as the library names it, p00 for
+--A) and an --output path that cannot take a file.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from datetime import datetime, timezone
 from . import __version__
 from .entanglement import BipartiteMeasure, _locc_sides, _tangle_bound
 from .optimize import asymptotic_expansion, bifurcation_diagram, optimize_source
-from .probabilities import DickeSpec, SourceState, _prob_rows, distribution, folded_prob
+from .probabilities import (DickeSpec, SourceState, _ArgumentError, _check_p00, _prob_rows,
+                            distribution, folded_prob)
 from .sampling import _streamed_report
 
 __all__ = ["main"]
@@ -53,13 +56,6 @@ def _parse_seed(text: str) -> int:
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
-
-
-def _spec_or_usage(n: int, k: int) -> DickeSpec:
-    try:
-        return DickeSpec(n, k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _envelope(command: str, parameters: dict, columns: list[str], rows: list[list],
@@ -119,19 +115,29 @@ def _write(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dickelift-")
+
+    def unusable(exc: OSError) -> UsageError:
+        return UsageError(f"cannot write --output {output}: {exc.strerror}")
+
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(output)),
+                                        prefix=".dickelift-")
+    except OSError as exc:
+        raise unusable(exc) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp_path, output)
+        try:
+            os.replace(tmp_path, output)
+        except OSError as exc:
+            raise unusable(exc) from None
     except BaseException:
         os.unlink(tmp_path)
         raise
 
 
 def _cmd_prob(args) -> dict:
-    spec = _spec_or_usage(args.n, args.k)
+    spec = DickeSpec(args.n, args.k)
     if (args.A is None) == (args.sweep is None):
         raise UsageError("exactly one of --A and --sweep is required")
     if args.sweep is not None:
@@ -146,9 +152,7 @@ def _cmd_prob(args) -> dict:
         weights = [start + i * (end - start) / steps for i in range(steps + 1)]
         parameters = {"n": spec.n, "k": spec.k, "sweep": [start, end, steps]}
     else:
-        if not 0.0 <= args.A <= 1.0:
-            raise UsageError("--A must lie in [0, 1]")
-        weights = [args.A]
+        weights = [_check_p00(args.A)]
         parameters = {"n": spec.n, "k": spec.k, "A": args.A}
     n, k = spec.n, spec.k
     rows = [[n, k, a, *row] for a, row in zip(weights, _prob_rows(n, k, weights))]
@@ -165,12 +169,8 @@ def _check_n_span(option: str, n_min: int, n_max: int) -> None:
 def _cmd_bifurcation(args) -> dict:
     n_min, n_max = args.n
     _check_n_span("--n", n_min, n_max)
-    try:
-        points = bifurcation_diagram(args.k, n_min, n_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     rows = []
-    for point in points:
+    for point in bifurcation_diagram(args.k, n_min, n_max):
         for branch_index, (a_opt, p_opt) in enumerate(point.branches):
             rows.append([point.k, point.n, point.regime.value, branch_index, a_opt, p_opt])
     return _envelope("bifurcation", {"k": args.k, "n_min": n_min, "n_max": n_max},
@@ -178,11 +178,8 @@ def _cmd_bifurcation(args) -> dict:
 
 
 def _cmd_decay(args) -> dict:
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
+    DickeSpec(args.n_max, args.k)  # the library's range: 1 <= k <= n_max // 2
     n_min = 2 * args.k
-    if args.n_max < n_min:
-        raise UsageError(f"--n-max must be at least 2k = {n_min}")
     _check_n_span("--n-max", n_min, args.n_max)
     specs = [DickeSpec(n, args.k) for n in range(n_min, args.n_max + 1)]
     if args.source == "epr":
@@ -195,14 +192,10 @@ def _cmd_decay(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    if not 0.0 <= args.A <= 1.0:
-        raise UsageError("--A must lie in [0, 1]")
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
     if args.runs > _MAX_RUNS:
         raise UsageError(f"--runs must be at most {_MAX_RUNS}, got {args.runs}")
-    if args.n < 2:
-        raise UsageError("--n must be at least 2")
     if args.n > _MAX_SIMULATE_N:
         raise UsageError(f"--n must be at most {_MAX_SIMULATE_N}, got {args.n}")
     law = distribution(args.n, args.A).raw
@@ -229,7 +222,7 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_entanglement(args) -> dict:
-    spec = _spec_or_usage(args.n, args.k)
+    spec = DickeSpec(args.n, args.k)
     kind = BipartiteMeasure(args.measure)
     point = optimize_source(spec)
     # the source as built: p00 goes through its amplitude and back
@@ -302,7 +295,7 @@ def main(argv=None) -> int:
     try:
         env = args.handler(args)
         _write(_render(env, args.format), args.output)
-    except UsageError as exc:
+    except (UsageError, _ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - report and map to exit code 1

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .probabilities import DickeSpec, SourceState, _as_int, folded_prob
+from .probabilities import DickeSpec, SourceState, _as_int, _prob_rows, folded_prob
 
 __all__ = [
     "Regime",
@@ -130,20 +130,20 @@ def optimize_source(spec: DickeSpec) -> BifurcationPoint:
         return BifurcationPoint(n=spec.n, k=spec.k, regime=regime,
                                 branches=((0.5, folded_prob(spec, 0.5)),))
     x = _lower_root(spec.n, spec.k)
-    p_low = folded_prob(spec, x)
-    if not (spec.k / spec.n <= x < 0.5 and p_low > folded_prob(spec, 0.5)):
+    (p_low, _, _), (p_half, _, _) = _prob_rows(spec.n, spec.k, (x, 0.5))
+    if not (spec.k / spec.n <= x < 0.5 and p_low > p_half):
         raise RuntimeError(
             f"lower branch p00 = {x!r} for n={spec.n}, k={spec.k} is not a maximum "
             f"in [k/n, 1/2) above P(1/2)"
         )
-    # P(1 - x) is P(x) bit for bit: folded_prob evaluates x < 1/2 at 1 - x
+    # P(1 - x) is P(x) bit for bit: _log_pairs evaluates x < 1/2 at 1 - x
     branches = ((x, p_low), (1.0 - x, p_low))
     return BifurcationPoint(n=spec.n, k=spec.k, regime=regime, branches=branches)
 
 
 def bifurcation_diagram(k, n_min, n_max) -> list[BifurcationPoint]:
     """Optimal-weight branches for every n in [n_min, n_max]."""
-    k = _as_int(k, "k")
+    k = _as_int(k, "k", 1)
     n_min = _as_int(n_min, "n_min", 2 * k)
     n_max = _as_int(n_max, "n_max", n_min)
     return [optimize_source(DickeSpec(n, k)) for n in range(n_min, n_max + 1)]

@@ -31,9 +31,14 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+_MAX_N = 2**53  # optimize_source fails for some n from about 2^54, lgamma from 2.6e305
 _LOG_CUT = -746.0  # np.exp returns exactly 0.0 below about -745.13
 # lgamma pairs a window must save per bit of n to pay for its two bisections
 _SEARCH_COST = 16
+
+
+class _ArgumentError(ValueError):
+    """An argument outside its documented range; the command line exits 2 on it."""
 
 
 def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -43,16 +48,16 @@ def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> i
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if hi is not None and not lo <= value <= hi:
-        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+        raise _ArgumentError(f"{name} must lie in [{lo}, {hi}], got {value}")
     if lo is not None and value < lo:
-        raise ValueError(f"{name} must be at least {lo}, got {value}")
+        raise _ArgumentError(f"{name} must be at least {lo}, got {value}")
     return value
 
 
 def _check_p00(p00: float) -> float:
     p00 = float(p00)
     if not 0.0 <= p00 <= 1.0:
-        raise ValueError(f"p00 must lie in [0, 1], got {p00!r}")
+        raise _ArgumentError(f"p00 must lie in [0, 1], got {p00!r}")
     return p00
 
 
@@ -89,14 +94,15 @@ class DickeSpec:
     """Target Dicke class: n qubits, k excitations in the canonical range.
 
     After the conditional bit flip only 1 <= k <= n//2 survive as distinct
-    entangled classes; k = 0 is separable and is not a valid target.
+    entangled classes; k = 0 is separable and is not a valid target. n is
+    at most 2^53, the range on which the optimizer finds every maximum.
     """
 
     n: int
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _as_int(self.n, "n", 2))
+        object.__setattr__(self, "n", _as_int(self.n, "n", 2, _MAX_N))
         object.__setattr__(self, "k", _as_int(self.k, "k", 1, self.n // 2))
 
 
@@ -155,7 +161,7 @@ def _prob_rows(n: int, k: int, weights) -> list[tuple[float, float, float]]:
 
 
 def _log_raw(n, k, p00) -> float:
-    n = _as_int(n, "n", 1)
+    n = _as_int(n, "n", 1, _MAX_N)
     k = _as_int(k, "k", 0, n)
     return _log_pairs(n, k, [_check_p00(p00)])[0][0]
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -251,6 +252,55 @@ class TestEntanglement:
         assert run_cli("entanglement", "--n", "3", "--k", "2", "--measure", "tangle").returncode == 2
 
 
+class TestExitCodes:
+    """Argument errors the library raises exit 2; any other error exits 1."""
+
+    BIG = str(2**53 + 1)
+    N_RANGE = f"n must lie in [2, {2**53}], got "
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["prob", "--n", "3", "--k", "1", "--A", "1.5"],
+                     "p00 must lie in [0, 1], got 1.5", id="prob-p00"),
+        pytest.param(["prob", "--n", BIG, "--k", "1", "--A", "0.5"], N_RANGE + BIG, id="prob-n"),
+        pytest.param(["bifurcation", "--k", "0", "--n", "2", "5"],
+                     "k must be at least 1, got 0", id="bifurcation-k"),
+        pytest.param(["bifurcation", "--k", "1", "--n", BIG, BIG], N_RANGE + BIG,
+                     id="bifurcation-n"),
+        pytest.param(["decay", "--k", "0", "--n-max", "5", "--source", "epr"],
+                     "k must lie in [1, 2], got 0", id="decay-k"),
+        pytest.param(["decay", "--k", "1", "--n-max", BIG, "--source", "optimal"],
+                     N_RANGE + BIG, id="decay-n"),
+        pytest.param(["simulate", "--n", "3", "--A", "-0.5", "--runs", "10", "--seed", "1"],
+                     "p00 must lie in [0, 1], got -0.5", id="simulate-p00"),
+        pytest.param(["simulate", "--n", "1", "--A", "0.5", "--runs", "10", "--seed", "1"],
+                     "n must be at least 2, got 1", id="simulate-n"),
+        pytest.param(["entanglement", "--n", "3", "--k", "2", "--measure", "tangle"],
+                     "k must lie in [1, 1], got 2", id="entanglement-k"),
+        pytest.param(["entanglement", "--n", str(10**17), "--k", "1", "--measure", "tangle"],
+                     N_RANGE + str(10**17), id="entanglement-n"),
+    ])
+    def test_library_argument_error_exits_2(self, capsys, argv, message):
+        import dickelift.cli as cli
+
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    @pytest.mark.parametrize("name, argv", [
+        ("bifurcation_diagram", ["bifurcation", "--k", "1", "--n", "3", "8"]),
+        ("distribution", ["simulate", "--n", "3", "--A", "0.5", "--runs", "10", "--seed", "1"]),
+    ])
+    def test_other_error_exits_1(self, monkeypatch, capsys, name, argv, error):
+        import dickelift.cli as cli
+
+        def fail(*args):
+            raise error("deliberate")
+
+        monkeypatch.setattr(cli, name, fail)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "internal error: deliberate\n"
+
+
 class TestOutputAndFormats:
     def test_csv_json_value_parity(self):
         csv_proc = run_cli("prob", "--n", "6", "--k", "2", "--sweep", "0", "1", "20")
@@ -275,6 +325,30 @@ class TestOutputAndFormats:
         header, rows = parse_csv(target.read_text())
         assert header[0] == "n" and len(rows) == 1
         assert not list(tmp_path.glob(".dickelift-*"))  # no temp leftovers
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        import dickelift.cli as cli
+
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        for target in (tmp_path / "missing" / "out.csv", directory):
+            assert cli.main(["prob", "--n", "3", "--k", "1", "--A", "0.5",
+                             "--output", str(target)]) == 2
+            assert f"--output {target}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob(".dickelift-*"))
+
+    def test_write_error_exits_1(self, tmp_path, monkeypatch, capsys):
+        import dickelift.cli as cli
+
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: cli.os.close(fd) or FullDisk())
+        assert cli.main(["prob", "--n", "3", "--k", "1", "--A", "0.5",
+                         "--output", str(tmp_path / "out.csv")]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_json_envelope_fields(self):
         env = json.loads(

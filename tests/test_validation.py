@@ -2,9 +2,10 @@
 
 A non-integer raises TypeError "{name} must be an integer, got {value!r}";
 one past a bound raises ValueError "{name} must be at least {lo}, got {v}"
-or "{name} must lie in [{lo}, {hi}], got {v}". Result records the library
-builds itself (RunBatch, BifurcationPoint, ...) are not checked. A NaN in a
-state or law fails its normalisation check.
+or "{name} must lie in [{lo}, {hi}], got {v}", as the private subclass on
+which the command line exits 2. Result records the library builds itself
+(RunBatch, BifurcationPoint, ...) are not checked. A NaN in a state or law
+fails its normalisation check.
 """
 
 import math
@@ -36,6 +37,7 @@ from dickelift import (
     single_qubit_density,
     yield_report,
 )
+from dickelift.probabilities import _ArgumentError
 
 EPR = SourceState(1 / math.sqrt(2), 1 / math.sqrt(2))
 BATCH = sample_runs(5, 0.5, 10, 0)
@@ -46,18 +48,18 @@ MAX_SEED = 2**64 - 1
 # id: (call with the checked integer in place, its name, lowest and highest
 # valid values; None where the range is checked elsewhere or unbounded)
 CASES = {
-    "DickeSpec.n": (lambda v: DickeSpec(v, 1), "n", 2, None),
+    "DickeSpec.n": (lambda v: DickeSpec(v, 1), "n", 2, 2**53),
     "DickeSpec.k": (lambda v: DickeSpec(7, v), "k", 1, 3),
-    "log_raw_outcome_prob.n": (lambda v: log_raw_outcome_prob(v, 0, 0.5), "n", 1, None),
+    "log_raw_outcome_prob.n": (lambda v: log_raw_outcome_prob(v, 0, 0.5), "n", 1, 2**53),
     "log_raw_outcome_prob.k": (lambda v: log_raw_outcome_prob(5, v, 0.5), "k", 0, 5),
-    "raw_outcome_prob.n": (lambda v: raw_outcome_prob(v, 0, 0.5), "n", 1, None),
+    "raw_outcome_prob.n": (lambda v: raw_outcome_prob(v, 0, 0.5), "n", 1, 2**53),
     "raw_outcome_prob.k": (lambda v: raw_outcome_prob(5, v, 0.5), "k", 0, 5),
     "failure_prob.n": (lambda v: failure_prob(v, 0.5), "n", 1, None),
     "distribution.n": (lambda v: distribution(v, 0.5), "n", 2, None),
     "OutcomeDistribution.n": (lambda v: OutcomeDistribution(v, np.full(4, 0.25)), "n",
                               None, None),
     "critical_threshold.k": (critical_threshold, "k", 1, None),
-    "bifurcation_diagram.k": (lambda v: bifurcation_diagram(v, 6, 8), "k", None, None),
+    "bifurcation_diagram.k": (lambda v: bifurcation_diagram(v, 6, 8), "k", 1, None),
     "bifurcation_diagram.n_min": (lambda v: bifurcation_diagram(3, v, 8), "n_min", 6, None),
     "bifurcation_diagram.n_max": (lambda v: bifurcation_diagram(3, 8, v), "n_max", 8, None),
     "asymptotic_prob.k": (asymptotic_prob, "k", 1, None),
@@ -100,13 +102,13 @@ def _range_message(name, lo, hi, value):
 
 @pytest.mark.parametrize("call, name, lo, hi", _bounded(2))
 def test_below_lowest_names_argument_and_value(call, name, lo, hi):
-    with pytest.raises(ValueError, match=_range_message(name, lo, hi, lo - 1)):
+    with pytest.raises(_ArgumentError, match=_range_message(name, lo, hi, lo - 1)):
         call(lo - 1)
 
 
 @pytest.mark.parametrize("call, name, lo, hi", _bounded(3))
 def test_above_highest_names_argument_and_value(call, name, lo, hi):
-    with pytest.raises(ValueError, match=_range_message(name, lo, hi, hi + 1)):
+    with pytest.raises(_ArgumentError, match=_range_message(name, lo, hi, hi + 1)):
         call(hi + 1)
 
 
