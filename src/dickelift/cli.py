@@ -38,10 +38,6 @@ _MAX_SWEEP_STEPS = 10**5
 # Values of n in one `bifurcation` or `decay` run, one optimal-source solve
 # each: at the cap about 9 s and 13 s, at most 121 MB peak RSS, on the same VM.
 _MAX_N_VALUES = 10**5
-# The README's range for n. At the cap, on the same VM: about 0.25 s and 33 MB peak RSS
-# until `distribution` rejects its law (exit 1), where a cold `prob` takes 0.21 s and
-# 29 MB; 5 s and 350 (CSV) to 480 MB (JSON) past it.
-_MAX_SIMULATE_N = 10**6
 
 
 class UsageError(Exception):
@@ -196,8 +192,6 @@ def _cmd_simulate(args) -> dict:
         raise UsageError("--runs must be at least 1")
     if args.runs > _MAX_RUNS:
         raise UsageError(f"--runs must be at most {_MAX_RUNS}, got {args.runs}")
-    if args.n > _MAX_SIMULATE_N:
-        raise UsageError(f"--n must be at most {_MAX_SIMULATE_N}, got {args.n}")
     law = distribution(args.n, args.A).raw
     report = _streamed_report(law, args.runs, args.seed)
     rows = []

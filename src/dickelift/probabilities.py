@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "SourceState",
     "DickeSpec",
-    "LogProb",
     "OutcomeDistribution",
     "log_raw_outcome_prob",
     "raw_outcome_prob",
@@ -32,9 +31,11 @@ __all__ = [
 
 _NORM_TOL = 1e-12
 _MAX_N = 2**53  # optimize_source fails for some n from about 2^54, lgamma from 2.6e305
+# The README's range for the full law. At the cap on a 2-vCPU x86 VM, `simulate` takes 0.25 s
+# and 33 MB peak RSS until `distribution` rejects its law (a cold `prob`: 0.21 s, 29 MB);
+# past that limit, 5 s and 350 (CSV) to 480 MB (JSON).
+_MAX_LAW_N = 10**6
 _LOG_CUT = -746.0  # np.exp returns exactly 0.0 below about -745.13
-# lgamma pairs a window must save per bit of n to pay for its two bisections
-_SEARCH_COST = 16
 
 
 class _ArgumentError(ValueError):
@@ -106,25 +107,6 @@ class DickeSpec:
         object.__setattr__(self, "k", _as_int(self.k, "k", 1, self.n // 2))
 
 
-@dataclass(frozen=True)
-class LogProb:
-    """A probability stored as its natural logarithm.
-
-    value = -inf is the exact-zero sentinel; finite values satisfy
-    exp(value) <= 1.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if math.isnan(self.value) or self.value > 0.0:
-            raise ValueError(f"not a log-probability: {self.value!r}")
-
-    @property
-    def linear(self) -> float:
-        return math.exp(self.value)
-
-
 def _log_pairs(n: int, k: int, weights) -> list[tuple[float, float]]:
     """(log raw k, log raw n-k) at each weight a: the one evaluation of the herald law.
 
@@ -160,33 +142,29 @@ def _prob_rows(n: int, k: int, weights) -> list[tuple[float, float, float]]:
     return rows
 
 
-def _log_raw(n, k, p00) -> float:
+def log_raw_outcome_prob(n, k, p00) -> float:
+    """Natural log of the probability that the herald reads k excitations.
+
+    Equals log of binom(n, k) * p00^(n-k) * (1-p00)^k, at most 0; -inf stands for
+    zero. Arguments with p00 < 1/2 are evaluated through the mirrored pair (n-k, 1-p00),
+    which makes the k <-> n-k, p00 <-> 1-p00 symmetry hold bit-for-bit.
+    """
     n = _as_int(n, "n", 1, _MAX_N)
     k = _as_int(k, "k", 0, n)
     return _log_pairs(n, k, [_check_p00(p00)])[0][0]
 
 
-def log_raw_outcome_prob(n, k, p00) -> LogProb:
-    """Natural log of the probability that the herald reads k excitations.
-
-    Equals log of binom(n, k) * p00^(n-k) * (1-p00)^k. Arguments with
-    p00 < 1/2 are evaluated through the mirrored pair (n-k, 1-p00), which
-    makes the k <-> n-k, p00 <-> 1-p00 symmetry hold bit-for-bit.
-    """
-    return LogProb(_log_raw(n, k, p00))
-
-
 def raw_outcome_prob(n, k, p00) -> float:
     """Probability that the herald reads k excitations out of n pairs."""
-    return math.exp(_log_raw(n, k, p00))
+    return math.exp(log_raw_outcome_prob(n, k, p00))
 
 
-def log_folded_prob(spec: DickeSpec, p00) -> LogProb:
-    """Natural log of the success probability for the canonical class spec.k."""
+def log_folded_prob(spec: DickeSpec, p00) -> float:
+    """Natural log of folded_prob(spec, p00): at most 0, and -inf for zero."""
     ((la, lb),) = _log_pairs(spec.n, spec.k, [_check_p00(p00)])
     if 2 * spec.k == spec.n:
-        return LogProb(la)
-    return LogProb(min(0.0, float(np.logaddexp(la, lb))))
+        return la
+    return min(0.0, float(np.logaddexp(la, lb)))
 
 
 def folded_prob(spec: DickeSpec, p00) -> float:
@@ -199,15 +177,13 @@ def folded_prob(spec: DickeSpec, p00) -> float:
 
 
 def failure_prob(n, p00) -> float:
-    """Probability of the two separable outcomes, p00^n + (1-p00)^n."""
-    n = _as_int(n, "n", 1)
+    """Probability of the two separable outcomes, p00^n + (1-p00)^n.
+
+    0.0 where both powers underflow, as at n = 10^6, p00 = 0.3.
+    """
+    n = _as_int(n, "n", 1, _MAX_N)
     p00 = _check_p00(p00)
     return p00**n + (1.0 - p00) ** n
-
-
-def _lo_run(n: int, a: int, b: int) -> tuple[int, int]:
-    """The first and last of lo = min(k, n - k) over k = a..b, which is one run of integers."""
-    return min(a, n - b), min(b, n - a, n // 2)
 
 
 def _log_raw_all_k(n: int, p00: float, a: int = 0, b: int | None = None) -> np.ndarray:
@@ -230,7 +206,7 @@ def _log_raw_all_k(n: int, p00: float, a: int = 0, b: int | None = None) -> np.n
     n_k = n - k
     lo = np.minimum(k, n_k)
     j, n_j = (lo, n - lo) if p == 0.5 else (n_k, k) if mirror else (k, n_k)
-    lo_min, lo_max = _lo_run(n, a, b)
+    lo_min, lo_max = min(a, n - b), min(b, n - a, n // 2)  # lo over a..b is one run
     size = lo_max - lo_min + 1
     log_fact_lo = np.fromiter(map(math.lgamma, range(lo_min + 1, lo_max + 2)), float, size)
     log_fact_hi = np.fromiter(map(math.lgamma, range(n - lo_min + 1, n - lo_max, -1)), float, size)
@@ -243,31 +219,19 @@ def _log_raw_all_k(n: int, p00: float, a: int = 0, b: int | None = None) -> np.n
 def _window(n: int, p00: float) -> tuple[int, int]:
     """Outcomes a..b holding every k whose log raw is at least _LOG_CUT; np.exp gives 0.0 outside.
 
-    The log law is concave in k, so a..b is one run around k0 = round(n (1 - p00)), and the
-    law lies above its chords from each end to k0: only the outcomes those chords put below
-    the cut can lie outside. Each end of the run is found among them by integer bisection
-    with _log_pairs, whose logs are those of _log_raw_all_k. The window is 0..n when the
-    far end, n log1p(-p) at the weight p >= 1/2 the law is evaluated at, is inside, or when
-    the chords leave too few outcomes outside to pay for the search.
+    The log law is concave in k, so a..b is one run around k0 = round(n (1 - p00)). Each end
+    is 0 or n if that outcome is inside, else found by bisection between it and k0 with
+    _log_pairs, whose logs are those of _log_raw_all_k.
     """
     p = max(p00, 1.0 - p00)
     if p == 1.0:  # a single outcome can occur
         return (n, n) if p00 < 0.5 else (0, 0)
-    if n * math.log1p(-p) >= _LOG_CUT:
+    if n * math.log1p(-p) >= _LOG_CUT:  # the far end is inside, so every outcome is
         return 0, n
+    # k0 is inside: the mode's probability is at least 1/(n+1), k0 is within one of the
+    # mode, and the mode's neighbour toward k0 holds at least half of its probability
     k0 = round(n * (1.0 - p00))
     ((log_0, log_n),) = _log_pairs(n, 0, (p00,))
-    log_k0 = _log_pairs(n, k0, (p00,))[0][0]
-
-    def reach(end: int, log_end: float) -> int:  # how many outcomes from end the cut can reach
-        if log_end >= _LOG_CUT:
-            return 0
-        return math.ceil(abs(k0 - end) * (_LOG_CUT - log_end) / (log_k0 - log_end))
-
-    reach_0, reach_n = reach(0, log_0), reach(n, log_n)
-    lo_min, lo_max = _lo_run(n, reach_0, n - reach_n)  # at best, the window's lo
-    if lo_min + n // 2 - lo_max < _SEARCH_COST * n.bit_length():
-        return 0, n
 
     def edge(out: int, into: int) -> int:  # the inside k nearest an outside out
         while abs(into - out) > 1:
@@ -278,7 +242,7 @@ def _window(n: int, p00: float) -> tuple[int, int]:
                 out = mid
         return into
 
-    return (edge(0, reach_0) if reach_0 else 0), (edge(n, n - reach_n) if reach_n else n)
+    return (0 if log_0 >= _LOG_CUT else edge(0, k0)), (n if log_n >= _LOG_CUT else edge(n, k0))
 
 
 def _fold(raw: np.ndarray) -> np.ndarray:
@@ -341,10 +305,9 @@ def distribution(n, p00) -> OutcomeDistribution:
     numpy's exp returns exactly 0.0 below about -745.13; every other entry is that
     0.0, so raw holds the same doubles as numpy's exp over the whole law. The cost is
     proportional to the window: 35,229 of the 10^6 + 1 outcomes at n = 10^6,
-    p00 = 0.3. Where the window would save too little to pay for finding it (below
-    n = 2,500 at that weight) the whole law is evaluated.
+    p00 = 0.3. n is at most 10^6.
     """
-    n = _as_int(n, "n", 2)
+    n = _as_int(n, "n", 2, _MAX_LAW_N)
     p00 = _check_p00(p00)
     try:
         return OutcomeDistribution(n=n, raw=_raw_law(n, p00))

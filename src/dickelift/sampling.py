@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probabilities import _as_int, _fold, distribution
+from .probabilities import _MAX_LAW_N, _as_int, _fold, distribution
 
 __all__ = ["RunBatch", "RunRecord", "YieldReport", "sample_runs", "yield_report"]
 
@@ -160,7 +160,7 @@ def yield_report(records: Sequence[RunRecord], n) -> YieldReport:
     records is a RunBatch or any sequence of RunRecord. Only the raw herald
     outcomes are read; classes and failures follow from them.
     """
-    n = _as_int(n, "n", 1)
+    n = _as_int(n, "n", 1, _MAX_LAW_N)
     if not records:
         raise ValueError("records must be nonempty")
     if isinstance(records, RunBatch):

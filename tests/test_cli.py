@@ -209,15 +209,16 @@ class TestSimulate:
 
     def test_rejects_n_above_limit(self, monkeypatch, capsys):
         import dickelift.cli as cli
+        from dickelift import probabilities
 
         def refuse(*args):
             raise AssertionError("the outcome law was computed")
 
-        monkeypatch.setattr(cli, "distribution", refuse)
+        monkeypatch.setattr(probabilities, "_raw_law", refuse)
         for n in ("1000001", "1000000000000"):
             argv = ["simulate", "--n", n, "--A", "0.5", "--runs", "10", "--seed", "1"]
             assert cli.main(argv) == 2
-            assert "--n must be at most 1000000" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: n must lie in [2, 1000000], got {n}\n"
         # n at the cap passes the check and reaches the refusing law
         assert cli.main(["simulate", "--n", "1000000", "--A", "0.5", "--runs", "10",
                          "--seed", "1"]) == 1
@@ -273,7 +274,7 @@ class TestExitCodes:
         pytest.param(["simulate", "--n", "3", "--A", "-0.5", "--runs", "10", "--seed", "1"],
                      "p00 must lie in [0, 1], got -0.5", id="simulate-p00"),
         pytest.param(["simulate", "--n", "1", "--A", "0.5", "--runs", "10", "--seed", "1"],
-                     "n must be at least 2, got 1", id="simulate-n"),
+                     "n must lie in [2, 1000000], got 1", id="simulate-n"),
         pytest.param(["entanglement", "--n", "3", "--k", "2", "--measure", "tangle"],
                      "k must lie in [1, 1], got 2", id="entanglement-k"),
         pytest.param(["entanglement", "--n", str(10**17), "--k", "1", "--measure", "tangle"],

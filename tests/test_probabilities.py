@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from dickelift import (
     DickeSpec,
-    LogProb,
     OutcomeDistribution,
     SourceState,
     distribution,
@@ -18,7 +17,7 @@ from dickelift import (
     log_raw_outcome_prob,
     raw_outcome_prob,
 )
-from dickelift.probabilities import _log_raw_all_k, _prob_rows, _raw_law, _window
+from dickelift.probabilities import _LOG_CUT, _log_raw_all_k, _prob_rows, _raw_law, _window
 from dickelift.statevector import build_state, measure_fock
 
 
@@ -47,12 +46,6 @@ class TestDickeSpec:
     def test_rejects_out_of_range(self, n, k):
         with pytest.raises(ValueError):
             DickeSpec(n, k)
-
-
-class TestLogProb:
-    def test_rejects_positive_log(self):
-        with pytest.raises(ValueError):
-            LogProb(0.5)
 
 
 class TestRawOutcomeProb:
@@ -136,18 +129,21 @@ class TestScalarReference:
         canonical = min(k, n - k)
         for a in weights:
             la, lb = reference_log_raw(n, k, a), reference_log_raw(n, n - k, a)
-            assert log_raw_outcome_prob(n, k, a).value == la, a
+            log_raw = log_raw_outcome_prob(n, k, a)
+            assert type(log_raw) is float and log_raw == la, a
             assert raw_outcome_prob(n, k, a) == math.exp(la), a
             if canonical == 0:
                 continue
             spec = DickeSpec(n, canonical)
             lc, ld = (la, lb) if canonical == k else (lb, la)
+            log_folded = log_folded_prob(spec, a)
+            assert type(log_folded) is float, a
             if 2 * canonical == n:
                 assert folded_prob(spec, a) == math.exp(lc), a
-                assert log_folded_prob(spec, a).value == lc, a
+                assert log_folded == lc, a
             else:
                 assert folded_prob(spec, a) == math.exp(lc) + math.exp(ld), a
-                assert log_folded_prob(spec, a).value == min(0.0, float(np.logaddexp(lc, ld))), a
+                assert log_folded == min(0.0, float(np.logaddexp(lc, ld))), a
 
 
 class TestFoldedProb:
@@ -182,7 +178,7 @@ class TestFoldedProb:
 
     def test_log_variant_matches(self):
         spec = DickeSpec(9, 2)
-        assert log_folded_prob(spec, 0.37).linear == pytest.approx(
+        assert math.exp(log_folded_prob(spec, 0.37)) == pytest.approx(
             folded_prob(spec, 0.37), rel=1e-14
         )
 
@@ -190,7 +186,7 @@ class TestFoldedProb:
         spec = DickeSpec(5000, 3)
         lp = log_folded_prob(spec, 0.5)
         assert folded_prob(spec, 0.5) == 0.0  # below linear float range
-        assert math.isfinite(lp.value) and lp.value < -3000.0
+        assert math.isfinite(lp) and lp < -3000.0
 
 
 class TestFailureProb:
@@ -254,7 +250,7 @@ class TestDistribution:
     @pytest.mark.parametrize("p00", [0.0, 0.137, 0.5, math.nextafter(0.5, 0.0), 0.77, 1.0])
     def test_logs_equal_scalar_logs(self, p00):
         n = 301
-        expected = [log_raw_outcome_prob(n, k, p00).value for k in range(n + 1)]
+        expected = [log_raw_outcome_prob(n, k, p00) for k in range(n + 1)]
         np.testing.assert_array_equal(_log_raw_all_k(n, p00), expected)
 
     @pytest.mark.parametrize("p00", [0.5, math.nextafter(0.5, 0.0)])
@@ -319,11 +315,17 @@ class TestWindow:
     def test_equals_full_evaluation_at_large_n(self, n, p00):
         _assert_same_bits(n, p00)
 
-    @pytest.mark.parametrize("n, p00", [(5000, 0.3), (10**6, 0.3), (10**6, 0.5), (10**6, 1e-12)])
+    @pytest.mark.parametrize("n, p00", [(700, 0.3), (1000, 0.3), (1500, 0.3), (2000, 0.7),
+                                        (5000, 0.3), (10**6, 0.3), (10**6, 0.5), (10**6, 1e-12)])
     def test_window_holds_every_nonzero_entry(self, n, p00):
         a, b = _window(n, p00)
-        nonzero = np.flatnonzero(np.exp(_full_logs(n, p00)))
+        logs = _full_logs(n, p00)
+        nonzero = np.flatnonzero(np.exp(logs))
         assert a <= nonzero[0] and nonzero[-1] <= b and b - a < n
+        # the window is exact: its ends are inside the cut, their outer neighbours outside
+        assert logs[a] >= _LOG_CUT and logs[b] >= _LOG_CUT
+        assert a == 0 or logs[a - 1] < _LOG_CUT
+        assert b == n or logs[b + 1] < _LOG_CUT
 
     def test_large_law_costs_its_window(self):
         # the O(n) lgamma table and index arrays peaked at 53.5 MB; raw alone is 8 MB
@@ -352,4 +354,4 @@ class TestPhaseIndependence:
 
 def test_log_raw_matches_linear():
     lp = log_raw_outcome_prob(12, 4, 0.3)
-    assert lp.linear == pytest.approx(raw_outcome_prob(12, 4, 0.3), rel=1e-15)
+    assert math.exp(lp) == pytest.approx(raw_outcome_prob(12, 4, 0.3), rel=1e-15)

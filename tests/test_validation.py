@@ -54,8 +54,8 @@ CASES = {
     "log_raw_outcome_prob.k": (lambda v: log_raw_outcome_prob(5, v, 0.5), "k", 0, 5),
     "raw_outcome_prob.n": (lambda v: raw_outcome_prob(v, 0, 0.5), "n", 1, 2**53),
     "raw_outcome_prob.k": (lambda v: raw_outcome_prob(5, v, 0.5), "k", 0, 5),
-    "failure_prob.n": (lambda v: failure_prob(v, 0.5), "n", 1, None),
-    "distribution.n": (lambda v: distribution(v, 0.5), "n", 2, None),
+    "failure_prob.n": (lambda v: failure_prob(v, 0.5), "n", 1, 2**53),
+    "distribution.n": (lambda v: distribution(v, 0.5), "n", 2, 10**6),
     "OutcomeDistribution.n": (lambda v: OutcomeDistribution(v, np.full(4, 0.25)), "n",
                               None, None),
     "critical_threshold.k": (critical_threshold, "k", 1, None),
@@ -64,10 +64,10 @@ CASES = {
     "bifurcation_diagram.n_max": (lambda v: bifurcation_diagram(3, 8, v), "n_max", 8, None),
     "asymptotic_prob.k": (asymptotic_prob, "k", 1, None),
     "ghz_single_qubit_entanglement.n": (ghz_single_qubit_entanglement, "n", 2, None),
-    "sample_runs.n": (lambda v: sample_runs(v, 0.5, 10, 0), "n", 2, None),
+    "sample_runs.n": (lambda v: sample_runs(v, 0.5, 10, 0), "n", 2, 10**6),
     "sample_runs.runs": (lambda v: sample_runs(5, 0.5, v, 0), "runs", 1, None),
     "sample_runs.seed": (lambda v: sample_runs(5, 0.5, 10, v), "seed", 0, MAX_SEED),
-    "yield_report.n": (lambda v: yield_report(BATCH, v), "n", 1, None),
+    "yield_report.n": (lambda v: yield_report(BATCH, v), "n", 1, 10**6),
     "CorrelatedState.n": (lambda v: CorrelatedState(v, np.full(4, 0.5)), "n", None, None),
     "ConditionalState.n": (lambda v: ConditionalState(v, 2, SECTOR, 1.0), "n", 1,
                            ORACLE_MAX_QUBITS),
