@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .optimize import Regime, _classify, asymptotic_expansion, optimize_source
-from .probabilities import DickeSpec, SourceState, _as_int
+from .probabilities import DickeSpec, SourceState, _as_int, _check_p00
 
 __all__ = [
     "BipartiteMeasure",
@@ -50,8 +50,7 @@ def binary_entropy(p: float) -> float:
     1e-15 for normal p, and H2(p) == H2(1 - p) whenever 1 - (1 - p) == p.
     Subnormal p (or 1 - p) loses precision with its significand.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    p = _check_p00(p, "p")
     if p > 0.5:
         p = 1.0 - p
     if p == 0.0:

@@ -55,11 +55,17 @@ def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> i
     return value
 
 
-def _check_p00(p00: float) -> float:
+def _check_p00(p00: float, name: str = "p00") -> float:
     p00 = float(p00)
     if not 0.0 <= p00 <= 1.0:
-        raise _ArgumentError(f"p00 must lie in [0, 1], got {p00!r}")
+        raise _ArgumentError(f"{name} must lie in [0, 1], got {p00!r}")
     return p00
+
+
+def _check_norm(total: float, what: str) -> None:
+    """Raise ValueError "{what} {total!r}, not 1" unless |total - 1| <= _NORM_TOL; NaN fails."""
+    if not abs(total - 1.0) <= _NORM_TOL:
+        raise ValueError(f"{what} {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,8 @@ class SourceState:
     amp11: complex
 
     def __post_init__(self):
-        norm = abs(self.amp00) ** 2 + abs(self.amp11) ** 2
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"source amplitudes are not normalized: |.|^2 sums to {norm!r}")
+        _check_norm(abs(self.amp00) ** 2 + abs(self.amp11) ** 2,
+                    "source amplitudes are not normalized: |.|^2 sums to")
 
     @property
     def p00(self) -> float:
@@ -273,9 +278,7 @@ class OutcomeDistribution:
             raise ValueError("raw must have n + 1 entries, n >= 1")
         if self.raw.min() < 0.0 or self.raw.max() > 1.0:
             raise ValueError("raw entries must lie in [0, 1]")
-        total = float(self.raw.sum())
-        if not abs(total - 1.0) <= _NORM_TOL:
-            raise ValueError(f"raw probabilities sum to {total!r}, not 1")
+        _check_norm(float(self.raw.sum()), "raw probabilities sum to")
 
     @property
     def folded(self) -> np.ndarray:

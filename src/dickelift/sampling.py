@@ -13,6 +13,7 @@ only when a caller indexes or iterates.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -44,8 +45,8 @@ class RunRecord:
 class RunBatch(Sequence):
     """Protocol runs as columns: run i gave herald outcome raw[i] in 0..n.
 
-    A read-only sequence of RunRecord; indexing, slicing and iteration
-    build the records on demand. Two batches are equal when their n and
+    A read-only sequence of RunRecord; integer indexing and iteration build
+    the records on demand. Two batches are equal when their n and
     outcomes are.
     """
 
@@ -68,11 +69,9 @@ class RunBatch(Sequence):
     def __len__(self) -> int:
         return len(self.raw)
 
-    def __getitem__(self, index):
-        runs = range(len(self))[index]
-        if isinstance(index, slice):
-            return list(self._records(runs, self.raw[index]))
-        return next(self._records((runs,), self.raw[runs:runs + 1]))
+    def __getitem__(self, index) -> RunRecord:
+        i = range(len(self))[operator.index(index)]
+        return next(self._records((i,), self.raw[i:i + 1]))
 
     def __iter__(self) -> Iterator[RunRecord]:
         return self._records(range(len(self)), self.raw)
@@ -106,17 +105,21 @@ class YieldReport:
     pairs_per_dicke: float
 
 
-def _outcome_chunks(law: np.ndarray, runs: int, seed: int) -> Iterator[np.ndarray]:
-    """Herald outcomes of runs 0, 1, ..., runs - 1, at most _CHUNK at a time.
+def _draws(n, p00, runs, seed) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The raw law of (n, p00) and the herald outcomes of runs 0..runs - 1, _CHUNK at a time.
 
-    Inverse CDF over the outcomes of law. One Generator serves every chunk,
-    so run i always takes position i of the Philox stream keyed by seed.
+    runs and seed are checked before the law is built. Outcomes follow by inverse
+    CDF, and one Generator serves every chunk, so run i always takes position i of
+    the Philox stream keyed by seed.
     """
+    runs = _as_int(runs, "runs", 1)
+    seed = _as_int(seed, "seed", 0, 2**64 - 1)
+    law = distribution(n, p00).raw
     cdf = np.cumsum(law)
     cdf[-1] = 1.0  # guard the top bin against roundoff
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for start in range(0, runs, _CHUNK):
-        yield np.searchsorted(cdf, rng.random(min(_CHUNK, runs - start)), side="right")
+    return law, (np.searchsorted(cdf, rng.random(min(_CHUNK, runs - start)), side="right")
+                 for start in range(0, runs, _CHUNK))
 
 
 def sample_runs(n, p00, runs, seed) -> RunBatch:
@@ -127,12 +130,10 @@ def sample_runs(n, p00, runs, seed) -> RunBatch:
     and u = Generator(Philox(key=seed)).random(runs). The batch is a pure
     function of (n, p00, runs, seed).
     """
-    runs = _as_int(runs, "runs", 1)
-    seed = _as_int(seed, "seed", 0, 2**64 - 1)
-    law = distribution(n, p00)
-    raw = np.concatenate(list(_outcome_chunks(law.raw, runs, seed)))
+    law, chunks = _draws(n, p00, runs, seed)
+    raw = np.concatenate(list(chunks))
     raw.flags.writeable = False
-    return RunBatch(law.n, raw)
+    return RunBatch(len(law) - 1, raw)
 
 
 def _report(counts: np.ndarray) -> YieldReport:
@@ -154,30 +155,32 @@ def _report(counts: np.ndarray) -> YieldReport:
     )
 
 
-def yield_report(records: Sequence[RunRecord], n) -> YieldReport:
+def yield_report(records: RunBatch, n) -> YieldReport:
     """Summarize a batch of runs into counts, frequencies, and pair cost.
 
-    records is a RunBatch or any sequence of RunRecord. Only the raw herald
+    records is the RunBatch that sample_runs drew for n. Only its raw herald
     outcomes are read; classes and failures follow from them.
     """
     n = _as_int(n, "n", 1, _MAX_LAW_N)
+    if not isinstance(records, RunBatch):
+        raise TypeError(f"records must be a RunBatch, got {type(records).__name__}")
     if not records:
         raise ValueError("records must be nonempty")
-    if isinstance(records, RunBatch):
-        if records.n != n:
-            raise ValueError(f"batch was drawn for n = {records.n}, not {n}")
-        raw = records.raw
-    else:
-        raw = np.fromiter((r.raw_outcome_k for r in records), np.int64, len(records))
-    counts = np.bincount(raw, minlength=n + 1)
+    if records.n != n:
+        raise ValueError(f"batch was drawn for n = {records.n}, not {n}")
+    counts = np.bincount(records.raw, minlength=n + 1)
     if len(counts) > n + 1:
         raise ValueError(f"outcome {len(counts) - 1} exceeds n = {n}")
     return _report(counts)
 
 
-def _streamed_report(law: np.ndarray, runs: int, seed: int) -> YieldReport:
-    """yield_report of the batch sample_runs draws, in O(_CHUNK + n) memory."""
+def _streamed_report(n, p00, runs, seed) -> tuple[np.ndarray, np.ndarray, YieldReport]:
+    """The raw law, outcome counts and yield_report of sample_runs(n, p00, runs, seed).
+
+    Counts chunk by chunk, in O(_CHUNK + n) memory.
+    """
+    law, chunks = _draws(n, p00, runs, seed)
     counts = np.zeros(len(law), dtype=np.int64)
-    for chunk in _outcome_chunks(law, runs, seed):
+    for chunk in chunks:
         counts += np.bincount(chunk, minlength=len(law))
-    return _report(counts)
+    return law, counts, _report(counts)

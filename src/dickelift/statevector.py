@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probabilities import SourceState, _as_int
+from .probabilities import _NORM_TOL, SourceState, _as_int, _check_norm
 
 __all__ = [
     "ORACLE_MAX_QUBITS",
@@ -41,8 +41,6 @@ __all__ = [
 
 # 2^20 complex amplitudes (16 MB); larger n is served by the closed form.
 ORACLE_MAX_QUBITS = 20
-
-_NORM_TOL = 1e-12
 
 
 @functools.cache
@@ -80,9 +78,7 @@ class CorrelatedState:
         n = _as_int(self.n, "n")
         if not 1 <= n <= ORACLE_MAX_QUBITS or self.amps.shape != (1 << n,):
             raise ValueError(f"amps must have 2^n entries, n in [1, {ORACLE_MAX_QUBITS}]")
-        norm = _norm2(self.amps)
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"state norm^2 is {norm!r}, not 1")
+        _check_norm(_norm2(self.amps), "state norm^2 is")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +104,7 @@ class ConditionalState:
             raise ValueError(f"sector must be 1-D with {len(_supports(n)[k])} entries, "
                              f"one per {n}-bit string of weight {k}")
         if self.probability > 0.0:
-            norm = _norm2(self.sector)
-            if not abs(norm - 1.0) <= _NORM_TOL:
-                raise ValueError(f"conditional state norm^2 is {norm!r}, not 1")
+            _check_norm(_norm2(self.sector), "conditional state norm^2 is")
 
     @property
     def support(self) -> np.ndarray:

@@ -198,10 +198,12 @@ class TestSimulate:
     def test_rejects_runs_above_limit(self, monkeypatch, capsys):
         import dickelift.cli as cli
 
+        from dickelift import probabilities
+
         def refuse(*args):
             raise AssertionError("the outcome law was computed")
 
-        monkeypatch.setattr(cli, "distribution", refuse)
+        monkeypatch.setattr(probabilities, "_raw_law", refuse)
         for runs in ("1000000001", "1000000000000000"):
             argv = ["simulate", "--n", "3", "--A", "0.5", "--runs", runs, "--seed", "1"]
             assert cli.main(argv) == 2
@@ -275,6 +277,10 @@ class TestExitCodes:
                      "p00 must lie in [0, 1], got -0.5", id="simulate-p00"),
         pytest.param(["simulate", "--n", "1", "--A", "0.5", "--runs", "10", "--seed", "1"],
                      "n must lie in [2, 1000000], got 1", id="simulate-n"),
+        pytest.param(["simulate", "--n", "3", "--A", "0.5", "--runs", "0", "--seed", "1"],
+                     "runs must be at least 1, got 0", id="simulate-runs"),
+        pytest.param(["simulate", "--n", "3", "--A", "0.5", "--runs", "10", "--seed", str(2**64)],
+                     f"seed must lie in [0, {2**64 - 1}], got {2**64}", id="simulate-seed"),
         pytest.param(["entanglement", "--n", "3", "--k", "2", "--measure", "tangle"],
                      "k must lie in [1, 1], got 2", id="entanglement-k"),
         pytest.param(["entanglement", "--n", str(10**17), "--k", "1", "--measure", "tangle"],
@@ -289,7 +295,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("error", [ValueError, RuntimeError])
     @pytest.mark.parametrize("name, argv", [
         ("bifurcation_diagram", ["bifurcation", "--k", "1", "--n", "3", "8"]),
-        ("distribution", ["simulate", "--n", "3", "--A", "0.5", "--runs", "10", "--seed", "1"]),
+        ("_streamed_report",
+         ["simulate", "--n", "3", "--A", "0.5", "--runs", "10", "--seed", "1"]),
     ])
     def test_other_error_exits_1(self, monkeypatch, capsys, name, argv, error):
         import dickelift.cli as cli

@@ -323,9 +323,12 @@ def test_oracle_uses_no_closed_form():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    # the normalisation rule is shared; no probability formula is imported
     assert {name for module, name in imported if module == "probabilities"} == {
         "SourceState",
         "_as_int",
+        "_check_norm",
+        "_NORM_TOL",
     }
     assert not any(module in ("optimize", "entanglement") for module, _ in imported)
     names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
