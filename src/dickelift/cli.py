@@ -131,8 +131,6 @@ def _write(text: str, output: str | None) -> None:
 
 def _cmd_prob(args) -> dict:
     spec = DickeSpec(args.n, args.k)
-    if (args.A is None) == (args.sweep is None):
-        raise UsageError("exactly one of --A and --sweep is required")
     if args.sweep is not None:
         start, end, steps = args.sweep
         if not math.isfinite(steps) or steps != int(steps):
@@ -239,9 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prob", help="success probability at a weight or over a sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--A", type=float, default=None, help="source weight |amp00|^2")
-    p.add_argument("--sweep", nargs=3, type=float, metavar=("START", "END", "STEPS"),
-                   default=None)
+    weight = p.add_mutually_exclusive_group(required=True)
+    weight.add_argument("--A", type=float, help="source weight |amp00|^2")
+    weight.add_argument("--sweep", nargs=3, type=float, metavar=("START", "END", "STEPS"))
     add_common(p, "csv")
     p.set_defaults(handler=_cmd_prob)
 
