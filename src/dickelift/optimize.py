@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_MAX_K = 2**1000  # keeps every float of k in critical_threshold and asymptotic_prob finite
+
+
 class Regime(str, Enum):
     SUBCRITICAL = "subcritical"
     CRITICAL = "critical"
@@ -54,8 +57,8 @@ class CriticalThreshold:
 
 
 def critical_threshold(k) -> CriticalThreshold:
-    """Threshold above which the optimal source weight leaves 1/2."""
-    k = _as_int(k, "k", 1)
+    """Threshold above which the optimal source weight leaves 1/2; k is at most 2^1000."""
+    k = _as_int(k, "k", 1, _MAX_K)
     root = math.isqrt(8 * k + 1)
     exact = root * root == 8 * k + 1
     eta_c = 2 * k + 0.5 + math.sqrt(2 * k + 0.25)
@@ -150,8 +153,8 @@ def bifurcation_diagram(k, n_min, n_max) -> list[BifurcationPoint]:
 
 
 def asymptotic_prob(k) -> float:
-    """Limiting success probability k^k e^-k / k! of the optimal source, to 1e-13 relative."""
-    k = _as_int(k, "k", 1)
+    """Limiting optimal success probability k^k e^-k / k!, to 1e-13 relative; k <= 2^1000."""
+    k = _as_int(k, "k", 1, _MAX_K)
     if k < 16:
         return math.exp(k * math.log(k) - k - math.lgamma(k + 1))
     # past 15, k log k - k - lgamma(k + 1) cancels: sum the Stirling series of k! to k^-7

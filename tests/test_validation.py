@@ -58,11 +58,11 @@ CASES = {
     "distribution.n": (lambda v: distribution(v, 0.5), "n", 2, 10**6),
     "OutcomeDistribution.n": (lambda v: OutcomeDistribution(v, np.full(4, 0.25)), "n",
                               None, None),
-    "critical_threshold.k": (critical_threshold, "k", 1, None),
+    "critical_threshold.k": (critical_threshold, "k", 1, 2**1000),
     "bifurcation_diagram.k": (lambda v: bifurcation_diagram(v, 6, 8), "k", 1, None),
     "bifurcation_diagram.n_min": (lambda v: bifurcation_diagram(3, v, 8), "n_min", 6, None),
     "bifurcation_diagram.n_max": (lambda v: bifurcation_diagram(3, 8, v), "n_max", 8, None),
-    "asymptotic_prob.k": (asymptotic_prob, "k", 1, None),
+    "asymptotic_prob.k": (asymptotic_prob, "k", 1, 2**1000),
     "ghz_single_qubit_entanglement.n": (ghz_single_qubit_entanglement, "n", 2, None),
     "sample_runs.n": (lambda v: sample_runs(v, 0.5, 10, 0), "n", 2, 10**6),
     "sample_runs.runs": (lambda v: sample_runs(5, 0.5, v, 0), "runs", 1, None),
