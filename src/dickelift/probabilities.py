@@ -56,6 +56,8 @@ def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> i
 
 
 def _check_p00(p00: float, name: str = "p00") -> float:
+    if isinstance(p00, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{name} must be a real number, got {p00!r}")
     p00 = float(p00)
     if not 0.0 <= p00 <= 1.0:
         raise _ArgumentError(f"{name} must lie in [0, 1], got {p00!r}")

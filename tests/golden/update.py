@@ -4,9 +4,13 @@ Each invocation in INVOCATIONS runs through `dickelift.cli.main` in one child
 process, at the lowest CPU dispatch every x86-64 machine has: numpy's baseline
 loops (NPY_DISABLE_CPU_FEATURES) and glibc's libm without its AVX2 and FMA
 variants (GLIBC_TUNABLES). At native dispatch some doubles depend on the CPU,
-so the corpus holds only on x86-64, where that setting exists. The JSON
-timestamp is masked. An output of more than MAX_ROWS rows is stored as the
-sha256 of its (masked) text plus its first and last EDGE rows.
+so the corpus holds only on x86-64, where that setting exists, and only on
+numpy 2.4 or later, the first to know the X86_V3 and X86_V4 groups: an older
+numpy ignores them and keeps its AVX2 and AVX-512 loops. The child checks
+that numpy dispatches to none of its optional targets and exits otherwise;
+the glibc setting cannot be read back. The JSON timestamp is masked. An
+output of more than MAX_ROWS rows is stored as the sha256 of its (masked)
+text plus its first and last EDGE rows.
 
     python tests/golden/update.py
 
@@ -19,9 +23,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -40,10 +46,10 @@ MAX_ROWS = 40
 EDGE = 20
 
 ABOUT = ("Output of `dickelift ARGS` for each case, run by tests/golden/update.py at numpy's "
-         "baseline dispatch and glibc's non-FMA libm; x86-64 only, the test skips elsewhere. "
-         "The JSON timestamp is masked. An output of more than 40 rows is stored as the sha256 "
-         "of its masked text plus its first and last 20 rows. The n = 2^53 rows are what the "
-         "code prints, not the true probabilities (ROADMAP item 2).")
+         "baseline dispatch and glibc's non-FMA libm; the test runs only on x86-64 with numpy "
+         "2.4 or later. The JSON timestamp is masked. An output of more than 40 rows is stored "
+         "as the sha256 of its masked text plus its first and last 20 rows. The n = 2^53 rows "
+         "are what the code prints, not the true probabilities (ROADMAP item 2).")
 N_2_53 = 2**53
 
 INVOCATIONS = [
@@ -75,6 +81,13 @@ _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 
 
 def _child() -> None:
+    from numpy._core import _multiarray_umath as umath
+
+    active = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if active:
+        sys.exit(f"numpy still dispatches to {' '.join(active)} under NPY_DISABLE_CPU_FEATURES="
+                 f"{os.environ.get('NPY_DISABLE_CPU_FEATURES')!r}; the corpus needs numpy 2.4 "
+                 "or later, which can lower its dispatch to the X86_V2 baseline")
     from dickelift.cli import main
 
     results = []
@@ -160,7 +173,9 @@ def main() -> int:
             print(f"dickelift {record['args']}" + ("" if previous else " (new)"))
             for move in _moves(previous, record) if previous else ():
                 print(f"    {move}")
-    CORPUS.write_text(json.dumps({"about": ABOUT, "cases": cases}, indent=1) + "\n")
+    about = (f"{ABOUT} Recorded at numpy {importlib.metadata.version('numpy')}, "
+             f"{' '.join(platform.libc_ver())}.")
+    CORPUS.write_text(json.dumps({"about": about, "cases": cases}, indent=1) + "\n")
     return 0
 
 

@@ -3,7 +3,9 @@
 A non-integer raises TypeError "{name} must be an integer, got {value!r}";
 one past a bound raises ValueError "{name} must be at least {lo}, got {v}"
 or "{name} must lie in [{lo}, {hi}], got {v}", as the private subclass on
-which the command line exits 2. Result records the library builds itself
+which the command line exits 2. A weight (p00, or binary_entropy's p) given as
+a str, bytes or bool raises TypeError "{name} must be a real number, got
+{value!r}". Result records the library builds itself
 (RunBatch, BifurcationPoint, ...) are not checked. A NaN in a state or law
 fails its normalisation check.
 """
@@ -23,12 +25,15 @@ from dickelift import (
     SourceState,
     asymptotic_prob,
     bifurcation_diagram,
+    binary_entropy,
     build_state,
     critical_threshold,
     dicke_state_amplitudes,
     distribution,
     failure_prob,
+    folded_prob,
     ghz_single_qubit_entanglement,
+    log_folded_prob,
     log_raw_outcome_prob,
     measure_fock,
     raw_outcome_prob,
@@ -110,6 +115,30 @@ def test_below_lowest_names_argument_and_value(call, name, lo, hi):
 def test_above_highest_names_argument_and_value(call, name, lo, hi):
     with pytest.raises(_ArgumentError, match=_range_message(name, lo, hi, hi + 1)):
         call(hi + 1)
+
+
+# id: (call with the checked weight in place, its name)
+WEIGHTS = {
+    "SourceState.from_p00": (SourceState.from_p00, "p00"),
+    "log_raw_outcome_prob": (lambda v: log_raw_outcome_prob(5, 2, v), "p00"),
+    "raw_outcome_prob": (lambda v: raw_outcome_prob(5, 2, v), "p00"),
+    "log_folded_prob": (lambda v: log_folded_prob(DickeSpec(5, 2), v), "p00"),
+    "folded_prob": (lambda v: folded_prob(DickeSpec(5, 2), v), "p00"),
+    "failure_prob": (lambda v: failure_prob(5, v), "p00"),
+    "distribution": (lambda v: distribution(5, v), "p00"),
+    "sample_runs": (lambda v: sample_runs(5, v, 10, 0), "p00"),
+    "binary_entropy": (binary_entropy, "p"),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", b"0.5", True, np.bool_(False)],
+                         ids=["str", "bytes", "bool", "numpy-bool"])
+@pytest.mark.parametrize("call, name", [pytest.param(*case, id=key)
+                                        for key, case in WEIGHTS.items()])
+def test_non_number_weight_names_argument(call, name, value):
+    message = "^" + re.escape(f"{name} must be a real number, got {value!r}") + "$"
+    with pytest.raises(TypeError, match=message):
+        call(value)
 
 
 def test_empty_amplitudes_are_not_a_state():
