@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -334,6 +335,26 @@ class TestOutputAndFormats:
         assert header[0] == "n" and len(rows) == 1
         assert not list(tmp_path.glob(".dickelift-*"))  # no temp leftovers
 
+    def test_output_file_mode_is_that_of_open(self, tmp_path):
+        # a new --output file, and one written over, get the mode open() gives
+        script = """if True:
+            import os, sys
+            from dickelift.cli import main
+            os.umask(0o022)
+            target, reference = sys.argv[1:]
+            open(reference, "w").close()
+            argv = ["prob", "--n", "3", "--k", "1", "--A", "0.5", "--output", target]
+            modes = []
+            for _ in range(2):
+                assert main(argv) == 0
+                modes.append(os.stat(target).st_mode & 0o777)
+            print(*modes, os.stat(reference).st_mode & 0o777)
+        """
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv"),
+                               str(tmp_path / "ref.csv")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(0o644)] * 3
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         import dickelift.cli as cli
 
@@ -468,6 +489,8 @@ class TestRender:
         "simulate": ("simulate", "--n", "5", "--A", "0.3", "--runs", "1000", "--seed", "7"),
         "simulate_all_fail": ("simulate", "--n", "5", "--A", "1", "--runs", "10", "--seed", "7"),
         "entanglement": ("entanglement", "--n", "20", "--k", "3", "--measure", "entropy"),
+        # the size of the benchmark's sweeps
+        "prob_sweep_5000": ("prob", "--n", "10", "--k", "3", "--sweep", "0", "1", "5000"),
     }
 
     SYNTHETIC = {
@@ -483,6 +506,44 @@ class TestRender:
         "summary": {"nested": {"1": 2}, "none": None, "list": []},
         "metadata": {"version": "0", "timestamp": "t"},
     }
+
+    # int and float cells only: csv's str() of each, joined without csv.writer
+    NUMERIC = {
+        **SYNTHETIC,
+        "rows": [
+            [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324],
+            [1e308, 2**70, -7, 0, -(2**70)],
+            [0.1, -1.5e-300, 3, -0.0, 1e16],
+        ],
+    }
+
+    @pytest.mark.parametrize("columns", [["a", "b", "c", "d", "e"],
+                                         ["a,b", 'say "c"', "d", "e", 'f,"g"']])
+    def test_numeric_table_matches_reference(self, columns):
+        import dickelift.cli as cli
+
+        env = {**self.NUMERIC, "columns": columns}
+        assert {type(v) for row in env["rows"] for v in row} == {int, float}
+        for fmt in ("csv", "json"):
+            assert cli._render(env, fmt) == _reference_render(env, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_numpy_and_bool_cells_match_reference(self, fmt):
+        import dickelift.cli as cli
+
+        rows = [row[:] for row in self.NUMERIC["rows"]]
+        rows[0][1:3] = np.float64(0.1), True
+        env = {**self.NUMERIC, "rows": rows}
+        assert cli._render(env, fmt) == _reference_render(env, fmt)
+
+    def test_json_row_break_inside_strings(self):
+        import dickelift.cli as cli
+
+        env = {**self.SYNTHETIC, "rows": [
+            ["],\n      [", "], [", 1.0, "]", "["],
+            ["\n    ],\n    [\n      ", "],", 2, ",\n      [", "],\n      ["],
+        ]}
+        assert cli._render(env, "json") == _reference_render(env, "json")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(ENVELOPES))
