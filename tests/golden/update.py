@@ -71,6 +71,8 @@ INVOCATIONS = [
     "simulate --n 12 --A 0.1 --runs 100000 --seed 7",
     "simulate --n 12 --A 0.1 --runs 5000 --seed 0xDEADBEEF --format csv",
     "simulate --n 800 --A 0.3 --runs 100000 --seed 11",
+    "simulate --n 20000 --A 0.3 --runs 100000 --seed 5",  # the window is cut at both ends
+    "simulate --n 3000 --A 0.001 --runs 100000 --seed 5",  # near the k = 3 optimum: cut at one
     "simulate --n 2 --A 1 --runs 10 --seed 0",
     "entanglement --n 20 --k 3 --measure entropy",
     "entanglement --n 2 --k 1 --measure entropy --format json",
