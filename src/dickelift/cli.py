@@ -78,7 +78,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 

@@ -31,8 +31,8 @@ __all__ = [
 
 _NORM_TOL = 1e-12
 _MAX_N = 2**53  # optimize_source fails for some n from about 2^54, lgamma from 2.6e305
-# The README's range for the full law. At the cap on a 2-vCPU x86 VM, `simulate` takes 0.25 s
-# and 33 MB peak RSS until `distribution` rejects its law (a cold `prob`: 0.21 s, 29 MB);
+# The README's range for the full law. At the cap on a 2-vCPU x86 VM, `simulate` takes 0.21 s
+# and 33 MB peak RSS until `distribution` rejects its law (a cold `prob`: 0.19 s, 29 MB);
 # past that limit, 5 s and 350 (CSV) to 480 MB (JSON).
 _MAX_LAW_N = 10**6
 _LOG_CUT = -746.0  # np.exp returns exactly 0.0 below about -745.13
@@ -193,8 +193,8 @@ def failure_prob(n, p00) -> float:
     return p00**n + (1.0 - p00) ** n
 
 
-def _log_raw_all_k(n: int, p00: float, a: int = 0, b: int | None = None) -> np.ndarray:
-    """Log outcome probabilities for k = a..b (default 0..n), the same doubles as _log_pairs gives.
+def _log_raw_all_k(n: int, p00: float, a: int, b: int) -> np.ndarray:
+    """Log outcome probabilities for k = a..b, the same doubles as _log_pairs gives.
 
     As there, outcome k is evaluated at j = n - k with p = 1 - p00 below 1/2, and at
     j = min(k, n - k) at exactly 1/2, in one contiguous pass, so that the exp of the
@@ -204,7 +204,6 @@ def _log_raw_all_k(n: int, p00: float, a: int = 0, b: int | None = None) -> np.n
     entries. log C(n, k) depends on k only through lo = min(k, n - k), so lgamma is
     taken once at each lo + 1 and n - lo + 1 that k = a..b needs: no O(n) table.
     """
-    b = n if b is None else b
     mirror = p00 < 0.5
     p = 1.0 - p00 if mirror else p00
     k = np.arange(a, b + 1)
@@ -224,32 +223,19 @@ def _log_raw_all_k(n: int, p00: float, a: int = 0, b: int | None = None) -> np.n
 
 
 def _window(n: int, p00: float) -> tuple[int, int]:
-    """Outcomes a..b holding every k whose log raw is at least _LOG_CUT; np.exp gives 0.0 outside.
+    """Outcomes a..b around the mean, outside which every log raw is below _LOG_CUT.
 
-    The log law is concave in k, so a..b is one run around k0 = round(n (1 - p00)). Each end
-    is 0 or n if that outcome is inside, else found by bisection between it and k0 with
-    _log_pairs, whose logs are those of _log_raw_all_k.
+    The herald count is a sum of n independent 0/1 outcomes with mean m = n (1 - p00) and
+    variance v = n p00 (1 - p00). A raw outcome is at most the tail beyond it, and
+    Bernstein's inequality bounds the tail at distance t from m by exp(-t^2 / (2 (v + t/3))),
+    which is exp(-c) at t = h = c/3 + sqrt(c^2/9 + 2 c v). With c = 1 - _LOG_CUT = 747,
+    every outcome outside m -+ h has a true log below -747; the one unit of margin covers
+    the rounding of the weight and of the evaluated logs, so np.exp gives exactly 0.0 there.
     """
-    p = max(p00, 1.0 - p00)
-    if p == 1.0:  # a single outcome can occur
-        return (n, n) if p00 < 0.5 else (0, 0)
-    if n * math.log1p(-p) >= _LOG_CUT:  # the far end is inside, so every outcome is
-        return 0, n
-    # k0 is inside: the mode's probability is at least 1/(n+1), k0 is within one of the
-    # mode, and the mode's neighbour toward k0 holds at least half of its probability
-    k0 = round(n * (1.0 - p00))
-    ((log_0, log_n),) = _log_pairs(n, 0, (p00,))
-
-    def edge(out: int, into: int) -> int:  # the inside k nearest an outside out
-        while abs(into - out) > 1:
-            mid = (out + into) // 2
-            if _log_pairs(n, mid, (p00,))[0][0] >= _LOG_CUT:
-                into = mid
-            else:
-                out = mid
-        return into
-
-    return (0 if log_0 >= _LOG_CUT else edge(0, k0)), (n if log_n >= _LOG_CUT else edge(n, k0))
+    c = 1.0 - _LOG_CUT
+    mean = n * (1.0 - p00)
+    h = c / 3 + math.sqrt(c * c / 9 + 2 * c * mean * p00)
+    return max(0, math.floor(mean - h)), min(n, math.ceil(mean + h))
 
 
 def _fold(raw: np.ndarray) -> np.ndarray:
@@ -306,11 +292,11 @@ def _raw_law(n: int, p00: float) -> np.ndarray:
 def distribution(n, p00) -> OutcomeDistribution:
     """Full raw outcome distribution for n pairs; its folded view is derived.
 
-    Only the window of outcomes whose log raw is at least -746 is evaluated, since
-    numpy's exp returns exactly 0.0 below about -745.13; every other entry is that
-    0.0, so raw holds the same doubles as numpy's exp over the whole law. The cost is
-    proportional to the window: 35,229 of the 10^6 + 1 outcomes at n = 10^6,
-    p00 = 0.3. n is at most 10^6.
+    Only a window of outcomes around the mean is evaluated. Its ends are bounded in
+    closed form, not searched, so that every outcome outside has a log raw below -746,
+    where numpy's exp returns exactly 0.0 (below about -745.13); raw holds the same
+    doubles as numpy's exp over the whole law. The cost is proportional to the window:
+    35,929 of the 10^6 + 1 outcomes at n = 10^6, p00 = 0.3. n is at most 10^6.
     """
     n = _as_int(n, "n", 2, _MAX_LAW_N)
     p00 = _check_p00(p00)
