@@ -196,6 +196,22 @@ class TestSimulate:
         b = json.loads(run_cli("simulate", "--n", "3", "--A", "0.5", "--runs", "100", "--seed", "255").stdout)
         assert a["rows"] == b["rows"]
 
+    def test_seed_is_decimal_or_hex_only(self, tmp_path, capsys):
+        import dickelift.cli as cli
+
+        def simulate(seed, name):
+            return cli.main(["simulate", "--n", "3", "--A", "0.5", "--runs", "100", "--seed", seed,
+                             "--format", "csv", "--output", str(tmp_path / name)])
+
+        # a leading zero stays decimal; binary and octal prefixes are not seeds
+        assert simulate("007", "a.csv") == 0 and simulate("7", "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        for seed in ("0b101", "0o17"):
+            with pytest.raises(SystemExit) as exit_info:
+                simulate(seed, "c.csv")
+            assert exit_info.value.code == 2
+            assert f"not a decimal or 0x-prefixed seed: '{seed}'" in capsys.readouterr().err
+
     def test_rejects_runs_above_limit(self, monkeypatch, capsys):
         import dickelift.cli as cli
 

@@ -182,6 +182,10 @@ class TestFoldedProb:
             folded_prob(spec, 0.37), rel=1e-14
         )
 
+    @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+    def test_log_variant_self_paired_is_raw_log(self, a):
+        assert log_folded_prob(DickeSpec(4, 2), a) == log_raw_outcome_prob(4, 2, a)
+
     def test_log_variant_retains_underflowed_values(self):
         spec = DickeSpec(5000, 3)
         lp = log_folded_prob(spec, 0.5)

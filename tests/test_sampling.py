@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from dickelift import (
@@ -16,7 +17,8 @@ from dickelift import (
     sample_runs,
     yield_report,
 )
-from dickelift.sampling import _CHUNK, _streamed_report
+from dickelift import sampling
+from dickelift.sampling import _CHUNK, _invert, _streamed_report
 
 RUNS = 200_000
 
@@ -177,6 +179,86 @@ class TestSeedOutcomeMapping:
         np.testing.assert_array_equal(law, distribution(n, p00).raw)
         assert counts.tolist() == np.bincount(batch.raw, minlength=n + 1).tolist()
         assert streamed == yield_report(batch, n)
+
+
+def guide_table(n, p00):
+    """The cdf that sample_runs documents, with a guide table of the stated size m."""
+    cdf = np.cumsum(distribution(n, p00).raw)
+    cdf[-1] = 1.0
+    m = min(1 << (2 * n + 1).bit_length(), 2**16)
+    return cdf, m, np.searchsorted(cdf, np.arange(m) / m, side="right")
+
+
+def crafted_keys(cdf, m, seed):
+    """Philox draws, 0, 1 - 2**-53, every bucket edge b/m and cdf value, and their predecessors."""
+    edges = np.concatenate([np.arange(m) / m, cdf])
+    u = np.concatenate([np.random.Generator(np.random.Philox(key=seed)).random(1000),
+                        [0.0, 1 - 2**-53], edges, np.nextafter(edges, -1)])
+    return u[(u >= 0) & (u < 1)]
+
+
+# p00 uniform, log-uniform down to 1e-12, their mirrors, and the ends and middle
+P00 = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 1.0).map(lambda p: 1.0 - p),
+    st.floats(-12.0, 0.0).map(lambda e: 1.0 - 10.0**e),
+    st.sampled_from([0.0, 1.0, 0.5]),
+)
+
+
+class TestGuideTable:
+    @given(n=st.integers(2, 897), p00=P00, seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_invert_equals_one_search(self, n, p00, seed):
+        try:
+            cdf, m, guide = guide_table(n, p00)
+        except ValueError as error:  # a law that distribution rejects is never sampled
+            assert "raw probabilities sum to" in str(error)
+            assume(False)
+        u = crafted_keys(cdf, m, seed)
+        np.testing.assert_array_equal(_invert(cdf, m, guide, u),
+                                      np.searchsorted(cdf, u, side="right"))
+
+    def test_late_keys_take_their_own_search(self, monkeypatch):
+        cdf, m, guide = guide_table(800, 0.3)
+        assert guide[1] - guide[0] > 400  # the first bucket holds hundreds of breakpoints
+        u = crafted_keys(cdf, m, 3)
+        expected = np.searchsorted(cdf, u, side="right")
+        searched = []
+        search = np.searchsorted
+
+        def spy(a, v, side):
+            searched.append(len(v))
+            return search(a, v, side=side)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        np.testing.assert_array_equal(_invert(cdf, m, guide, u), expected)
+        assert len(searched) == 1 and 0 < searched[0] < len(u)
+
+    @pytest.mark.parametrize("n,p00,m", [(2, 0.5, 8), (7, 0.5, 16), (800, 0.3, 2048),
+                                         (40000, 1e-6, 2**16)])
+    def test_table_size(self, monkeypatch, n, p00, m):
+        tables = []
+        invert = sampling._invert
+
+        def spy(cdf, m, guide, u):
+            tables.append((m, guide))
+            return invert(cdf, m, guide, u)
+
+        monkeypatch.setattr(sampling, "_invert", spy)
+        raw = sample_runs(n, p00, 100, 9).raw
+        np.testing.assert_array_equal(raw, documented_outcomes(n, p00, 100, 9))
+        ((drawn_m, guide),) = tables
+        assert drawn_m == m <= 2**16
+        np.testing.assert_array_equal(guide, guide_table(n, p00)[2])
+
+    @pytest.mark.parametrize("runs", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_chunk_edges_follow_documented_outcomes(self, runs):
+        expected = documented_outcomes(800, 0.3, runs, 17)
+        np.testing.assert_array_equal(sample_runs(800, 0.3, runs, 17).raw, expected)
+        counts = _streamed_report(800, 0.3, runs, 17)[1]
+        assert counts.tolist() == np.bincount(expected, minlength=801).tolist()
 
 
 def typed_fields(record):
