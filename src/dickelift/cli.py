@@ -23,10 +23,9 @@ from datetime import datetime, timezone
 from itertools import chain
 
 from . import __version__
-from .entanglement import BipartiteMeasure, _locc_sides, _tangle_bound
-from .optimize import asymptotic_expansion, bifurcation_diagram, optimize_source
-from .probabilities import (DickeSpec, SourceState, _ArgumentError, _check_p00, _prob_rows,
-                            folded_prob)
+from .entanglement import BipartiteMeasure, check_locc_bound, tangle_decay_bound
+from .optimize import asymptotic_expansion, bifurcation_diagram
+from .probabilities import DickeSpec, _ArgumentError, _check_p00, _prob_rows, folded_prob
 from .sampling import _streamed_report
 
 __all__ = ["main"]
@@ -219,14 +218,9 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_entanglement(args) -> dict:
     spec = DickeSpec(args.n, args.k)
-    kind = BipartiteMeasure(args.measure)
-    point = optimize_source(spec)
-    # the source as built: p00 goes through its amplitude and back
-    source_p00 = SourceState.from_p00(point.p00_opt).p00
-    source_value, dicke_value, locc_rhs = _locc_sides(spec, kind, source_p00, point.p_opt)
-    tangle_bound = _tangle_bound(spec)
-    rows = [[spec.n, spec.k, args.measure, source_value, dicke_value, locc_rhs,
-             source_value > locc_rhs, tangle_bound]]
+    report = check_locc_bound(spec, BipartiteMeasure(args.measure))
+    rows = [[spec.n, spec.k, args.measure, report.lhs, report.dicke_value, report.rhs,
+             report.holds, tangle_decay_bound(spec)[0]]]
     return _envelope(
         "entanglement", {"n": spec.n, "k": spec.k, "measure": args.measure},
         ["n", "k", "measure", "source_E_at_Aopt", "dicke_E", "locc_rhs",

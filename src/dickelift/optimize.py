@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .probabilities import DickeSpec, SourceState, _as_int, _prob_rows, folded_prob
+from .probabilities import _MAX_N, DickeSpec, SourceState, _as_int, _prob_rows, folded_prob
 
 __all__ = [
     "Regime",
@@ -145,10 +145,10 @@ def optimize_source(spec: DickeSpec) -> BifurcationPoint:
 
 
 def bifurcation_diagram(k, n_min, n_max) -> list[BifurcationPoint]:
-    """Optimal-weight branches for every n in [n_min, n_max]."""
+    """Optimal-weight branches for every n in [n_min, n_max]; n_max is at most 2^53."""
     k = _as_int(k, "k", 1)
-    n_min = _as_int(n_min, "n_min", 2 * k)
-    n_max = _as_int(n_max, "n_max", n_min)
+    n_min = _as_int(n_min, "n_min", 2 * k, _MAX_N)
+    n_max = _as_int(n_max, "n_max", n_min, _MAX_N)
     return [optimize_source(DickeSpec(n, k)) for n in range(n_min, n_max + 1)]
 
 

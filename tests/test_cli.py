@@ -271,6 +271,20 @@ class TestEntanglement:
     def test_invalid_spec(self):
         assert run_cli("entanglement", "--n", "3", "--k", "2", "--measure", "tangle").returncode == 2
 
+    @pytest.mark.parametrize("measure", ["entropy", "tangle"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 100])
+    def test_row_is_the_library_report(self, capsys, n, measure):
+        import dickelift.cli as cli
+        from dickelift import BipartiteMeasure, DickeSpec, check_locc_bound, tangle_decay_bound
+
+        assert cli.main(["entanglement", "--n", str(n), "--k", "1", "--measure", measure]) == 0
+        _, (row,) = parse_csv(capsys.readouterr().out)
+        spec = DickeSpec(n, 1)
+        report = check_locc_bound(spec, BipartiteMeasure(measure))
+        assert [int(row[0]), int(row[1]), row[2], *map(float, row[3:6]), row[6], float(row[7])] == [
+            n, 1, measure, report.lhs, report.dicke_value, report.rhs,
+            "true" if report.holds else "false", tangle_decay_bound(spec)[0]]
+
 
 class TestExitCodes:
     """Argument errors the library raises exit 2; any other error exits 1."""
@@ -284,8 +298,8 @@ class TestExitCodes:
         pytest.param(["prob", "--n", BIG, "--k", "1", "--A", "0.5"], N_RANGE + BIG, id="prob-n"),
         pytest.param(["bifurcation", "--k", "0", "--n", "2", "5"],
                      "k must be at least 1, got 0", id="bifurcation-k"),
-        pytest.param(["bifurcation", "--k", "1", "--n", BIG, BIG], N_RANGE + BIG,
-                     id="bifurcation-n"),
+        pytest.param(["bifurcation", "--k", "1", "--n", BIG, BIG],
+                     f"n_min must lie in [2, {2**53}], got {BIG}", id="bifurcation-n"),
         pytest.param(["decay", "--k", "0", "--n-max", "5", "--source", "epr"],
                      "k must lie in [1, 2], got 0", id="decay-k"),
         pytest.param(["decay", "--k", "1", "--n-max", BIG, "--source", "optimal"],

@@ -160,9 +160,17 @@ class TestLoccBound:
         assert report.holds
         assert report.lhs / report.rhs == pytest.approx(math.e, rel=1e-3)
 
-    def test_rejects_subcritical(self):
-        with pytest.raises(ValueError):
-            check_locc_bound(DickeSpec(3, 1), TANGLE)
+    @pytest.mark.parametrize("kind", [ENTROPY, TANGLE])
+    def test_lhs_is_the_source_as_built(self, kind):
+        # about half of the optimizer's weights x do not survive from_p00: p00 != x
+        rebuilt = 0
+        for k in (1, 2, 3, 5):
+            for n in range(2 * k, 2 * k + 60):
+                report = check_locc_bound(DickeSpec(n, k), kind)
+                source = SourceState.from_p00(report.p00_opt)
+                rebuilt += source.p00 != report.p00_opt
+                assert report.lhs == source_entanglement(source, kind)
+        assert rebuilt > 0
 
     @pytest.mark.parametrize("kind", [ENTROPY, TANGLE])
     def test_holds_on_a_spread_of_specs(self, kind):
@@ -182,12 +190,6 @@ class TestTangleDecayBound:
         bound, actual = tangle_decay_bound(DickeSpec(10_000, 3))
         assert actual < bound
 
-    def test_rejects_at_or_below_threshold(self):
-        with pytest.raises(ValueError):
-            tangle_decay_bound(DickeSpec(4, 1))
-        with pytest.raises(ValueError):
-            tangle_decay_bound(DickeSpec(9, 3))
-
     def test_scaled_tangle_limits_to_4k(self):
         for k in (1, 3):
             values = [
@@ -201,6 +203,21 @@ class TestTangleDecayBound:
         for n in range(8, 200, 7):
             tau = dicke_single_qubit_entanglement(DickeSpec(n, 2), TANGLE)
             assert 4 * 2 * (1 - 2 / n) - 1e-12 <= n * tau <= 4 * 2 + 1e-12
+
+
+def test_bounds_hold_in_every_regime():
+    # derived for the supercritical regime, both bounds still hold below it, down to n = 2k
+    regimes = set()
+    for k in range(1, 8):
+        for n in range(2 * k, 2 * k + 40):
+            spec = DickeSpec(n, k)
+            for kind in (ENTROPY, TANGLE):
+                report = check_locc_bound(spec, kind)
+                assert report.holds, (n, k, kind)
+            bound, actual = tangle_decay_bound(spec)
+            assert actual < bound, (n, k)
+            regimes.add(optimize_source(spec).regime)
+    assert len(regimes) == 3
 
 
 def test_threshold_guard_matches_regime():

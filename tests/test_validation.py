@@ -65,8 +65,8 @@ CASES = {
                               None, None),
     "critical_threshold.k": (critical_threshold, "k", 1, 2**1000),
     "bifurcation_diagram.k": (lambda v: bifurcation_diagram(v, 6, 8), "k", 1, None),
-    "bifurcation_diagram.n_min": (lambda v: bifurcation_diagram(3, v, 8), "n_min", 6, None),
-    "bifurcation_diagram.n_max": (lambda v: bifurcation_diagram(3, 8, v), "n_max", 8, None),
+    "bifurcation_diagram.n_min": (lambda v: bifurcation_diagram(3, v, 8), "n_min", 6, 2**53),
+    "bifurcation_diagram.n_max": (lambda v: bifurcation_diagram(3, 8, v), "n_max", 8, 2**53),
     "asymptotic_prob.k": (asymptotic_prob, "k", 1, 2**1000),
     "ghz_single_qubit_entanglement.n": (ghz_single_qubit_entanglement, "n", 2, None),
     "sample_runs.n": (lambda v: sample_runs(v, 0.5, 10, 0), "n", 2, 10**6),
