@@ -20,12 +20,12 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, repeat, starmap
 
 from . import __version__
 from .entanglement import BipartiteMeasure, check_locc_bound, tangle_decay_bound
 from .optimize import asymptotic_expansion, bifurcation_diagram
-from .probabilities import DickeSpec, _ArgumentError, _check_p00, _prob_rows, folded_prob
+from .probabilities import DickeSpec, _ArgumentError, _check_p00, _prob_cols, folded_prob
 from .sampling import _streamed_report
 
 __all__ = ["main"]
@@ -33,11 +33,11 @@ __all__ = ["main"]
 # About 11 s of sampling at n = 897 and 16 s at n = 40000 (11-16 ns per run),
 # measured on a 2-vCPU x86 VM.
 _MAX_RUNS = 10**9
-# A sweep at the cap takes about 0.8 s at 79 MB (CSV) or 88 MB (JSON) peak RSS,
-# on the same VM.
+# A sweep at the cap takes about 0.6 s at 73 MB (CSV) or 78 MB (JSON) peak RSS,
+# on the same VM (a cold run, min of 5).
 _MAX_SWEEP_STEPS = 10**5
 # Values of n in one `bifurcation` or `decay` run, one optimal-source solve
-# each: at the cap about 7 s and 6 s, at most 119 MB peak RSS, on the same VM.
+# each: at the cap about 6 s each, at most 118 MB peak RSS, on the same VM.
 _MAX_N_VALUES = 10**5
 
 
@@ -82,23 +82,44 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_row_format(rows: list) -> str | None:
+    """The row format "{},...,{}\n" if csv writes each cell of the table as str(), else None.
+
+    csv writes an int or float cell as str(), and a str bare unless it is empty or holds a
+    ',', '"', '\r' or '\n'; format() with an empty spec gives str(). Every row must have
+    the same width, the number of fields in the format.
+    """
+    widths = set(map(len, rows))
+    types = set(map(type, chain.from_iterable(rows)))
+    if len(widths) != 1 or not types <= {int, float, str}:
+        return None
+    if str in types:
+        strs = set(filter(str.__instancecheck__, chain.from_iterable(rows)))
+        text = "".join(strs)
+        if "" in strs or any(c in text for c in ',"\r\n'):
+            return None
+    return ",".join(["{}"] * widths.pop()) + "\n"
+
+
 def _render(env: dict, fmt: str) -> str:
-    """The envelope as CSV, or as JSON with indent=2; rows are non-empty lists of scalars.
+    """The envelope as CSV, or as JSON with indent=2; rows are non-empty sequences of scalars.
 
     Each table takes one C-level pass. JSON encodes all rows at once with separators that
     give indent=2 inside a row; strings escape newlines, so "],\n      [" occurs only
-    between rows, where one replace puts in the row breaks. A CSV table of exactly int and
-    float cells is joined from str(), which is what csv writes for them; other tables take
-    csv.writer, with _cell for rows holding a bool or None. A 5001-row sweep takes about
-    17 ms (CSV) or 16 ms (JSON) on a 2-vCPU x86 VM, 12 ms of it in float repr.
+    between rows, where one replace puts in the row breaks. A CSV table that csv would
+    write as str() of each cell (_csv_row_format) is joined from one format string per
+    row; other tables take csv.writer, with _cell for rows holding a bool or None. A
+    5001-row sweep takes about 13 ms as CSV or as JSON on a 2-vCPU x86 VM, 10 ms of it in
+    float repr.
     """
     rows = env["rows"]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(env["columns"])
-        if set(map(type, chain.from_iterable(rows))) <= {int, float}:
-            buf.writelines(f"{','.join(map(str, row))}\n" for row in rows)
+        row_format = _csv_row_format(rows)
+        if row_format is not None:
+            buf.write("".join(starmap(row_format.format, rows)))
         else:
             writer.writerows(row if _CSV_UNLIKE_CELL.isdisjoint(map(type, row))
                              else [_cell(v) for v in row] for row in rows)
@@ -140,6 +161,8 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _cmd_prob(args) -> dict:
+    import numpy as np
+
     spec = DickeSpec(args.n, args.k)
     if args.sweep is not None:
         start, end, steps = args.sweep
@@ -150,13 +173,14 @@ def _cmd_prob(args) -> dict:
             raise UsageError(f"--sweep STEPS must be at most {_MAX_SWEEP_STEPS}, got {steps}")
         if steps < 1 or not 0.0 <= start <= end <= 1.0:
             raise UsageError("--sweep needs 0 <= start <= end <= 1 and steps >= 1")
-        weights = [start + i * (end - start) / steps for i in range(steps + 1)]
+        # start + i * (end - start) / steps, each operation the same IEEE one as Python's
+        weights = start + np.arange(steps + 1) * (end - start) / steps
         parameters = {"n": spec.n, "k": spec.k, "sweep": [start, end, steps]}
     else:
-        weights = [_check_p00(args.A)]
+        weights = np.array([_check_p00(args.A)])
         parameters = {"n": spec.n, "k": spec.k, "A": args.A}
     n, k = spec.n, spec.k
-    rows = [[n, k, a, *row] for a, row in zip(weights, _prob_rows(n, k, weights))]
+    rows = list(zip(repeat(n), repeat(k), weights.tolist(), *_prob_cols(n, k, weights)))
     return _envelope("prob", parameters,
                      ["n", "k", "A", "P_folded", "P_raw_k", "P_raw_nk"], rows)
 
@@ -193,15 +217,15 @@ def _cmd_decay(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
+    import numpy as np
+
     if args.runs > _MAX_RUNS:
         raise UsageError(f"--runs must be at most {_MAX_RUNS}, got {args.runs}")
     law, counts, report = _streamed_report(args.n, args.A, args.runs, args.seed)
-    rows = []
-    for k, (c, p) in enumerate(zip(counts.tolist(), law.tolist())):
-        freq = c / args.runs
-        sigma = math.sqrt(p * (1.0 - p) / args.runs)
-        z = (freq - p) / sigma if sigma > 0.0 else 0.0
-        rows.append([k, c, freq, p, z])
+    freq = counts / args.runs
+    sigma = np.sqrt(law * (1.0 - law) / args.runs)
+    z = np.divide(freq - law, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
+    rows = list(zip(range(len(law)), counts.tolist(), freq.tolist(), law.tolist(), z.tolist()))
     summary = {
         "runs": report.runs,
         "pairs_consumed": report.pairs_consumed,

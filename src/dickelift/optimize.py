@@ -17,7 +17,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .probabilities import _MAX_N, DickeSpec, SourceState, _as_int, _prob_rows, folded_prob
+from .probabilities import (
+    _MAX_N,
+    DickeSpec,
+    SourceState,
+    _ArgumentError,
+    _as_int,
+    _prob_rows,
+    folded_prob,
+)
 
 __all__ = [
     "Regime",
@@ -145,8 +153,14 @@ def optimize_source(spec: DickeSpec) -> BifurcationPoint:
 
 
 def bifurcation_diagram(k, n_min, n_max) -> list[BifurcationPoint]:
-    """Optimal-weight branches for every n in [n_min, n_max]; n_max is at most 2^53."""
+    """Optimal-weight branches for every n in [n_min, n_max]; n_max is at most 2^53.
+
+    k is at most 2^52, so that some n >= 2k lies in range; below 1 the error reads "k must
+    be at least 1", as for the other unbounded arguments.
+    """
     k = _as_int(k, "k", 1)
+    if k > _MAX_N // 2:
+        raise _ArgumentError(f"k must lie in [1, {_MAX_N // 2}], got {k}")
     n_min = _as_int(n_min, "n_min", 2 * k, _MAX_N)
     n_max = _as_int(n_max, "n_max", n_min, _MAX_N)
     return [optimize_source(DickeSpec(n, k)) for n in range(n_min, n_max + 1)]

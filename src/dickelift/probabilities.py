@@ -114,6 +114,12 @@ class DickeSpec:
         object.__setattr__(self, "k", _as_int(self.k, "k", 1, self.n // 2))
 
 
+def _log_binom(n: int, k: int) -> tuple[int, float]:
+    """(lo, log C(n, k)) with lo = min(k, n - k), so that k and n - k give the same double."""
+    lo = min(k, n - k)
+    return lo, math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(n - lo + 1)
+
+
 def _log_pairs(n: int, k: int, weights) -> list[tuple[float, float]]:
     """(log raw k, log raw n-k) at each weight a: the one evaluation of the herald law.
 
@@ -124,8 +130,7 @@ def _log_pairs(n: int, k: int, weights) -> list[tuple[float, float]]:
     symmetry holds bit for bit. log C(n, k), the same double for k and n-k,
     is taken once per call; each weight takes one log and one log1p.
     """
-    lo, hi = (k, n - k) if k <= n - k else (n - k, k)
-    log_binom = math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(hi + 1)
+    lo, log_binom = _log_binom(n, k)
     pairs = []
     for a in weights:
         ka, kb, p = (k, n - k, a) if a >= 0.5 else (n - k, k, 1.0 - a)
@@ -147,6 +152,35 @@ def _prob_rows(n: int, k: int, weights) -> list[tuple[float, float, float]]:
         ra, rb = math.exp(la), math.exp(lb)
         rows.append((ra if 2 * k == n else ra + rb, ra, rb))
     return rows
+
+
+def _prob_cols(n: int, k: int, weights: np.ndarray) -> tuple[list, list, list]:
+    """(folded, raw k, raw n-k) as three columns over an array of weights: _prob_rows by column.
+
+    The operations of _log_pairs in the same order, each over a whole column: numpy does
+    the mirror, the masks at 1/2 and 1 and the multiply-adds (one IEEE rounding each, like
+    Python's), and libm's log, log1p and exp are each mapped once over a .tolist() column,
+    since numpy's differ from them in the last bit. So every double equals _prob_rows'.
+    Unvalidated. A call on one weight takes about 24 us, against 1.6 us for _prob_rows, so
+    the library's scalar calls keep _prob_rows and the command line's tables take this form.
+    """
+    lo, log_binom = _log_binom(n, k)
+    mirror = weights < 0.5
+    p = np.where(mirror, 1.0 - weights, weights)
+    half, one = p == 0.5, p == 1.0
+    ka = np.where(half, lo, np.where(mirror, n - k, k))
+    kb = np.where(half, lo, n - ka)
+    p = np.where(one, 0.5, p).tolist()  # log1p(-1) is undefined; those entries are set below
+    log_p = np.fromiter(map(math.log, p), float, len(p))
+    log_q = np.fromiter(map(math.log1p, map(operator.neg, p)), float, len(p))
+
+    def raw(j: np.ndarray) -> list[float]:
+        log = log_binom + (n - j) * log_p + j * log_q
+        log = np.where(one, np.where(j == 0, 0.0, -math.inf), np.where(log < 0.0, log, 0.0))
+        return list(map(math.exp, log.tolist()))
+
+    ra, rb = raw(ka), raw(kb)
+    return (ra if 2 * k == n else list(map(operator.add, ra, rb))), ra, rb
 
 
 def log_raw_outcome_prob(n, k, p00) -> float:

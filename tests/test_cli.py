@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def run_cli(*args):
@@ -78,9 +79,20 @@ class TestProb:
 
         monkeypatch.setattr(cli, "folded_prob", refuse)
         monkeypatch.setattr(cli, "raw_outcome_prob", refuse, raising=False)
-        monkeypatch.setattr(cli, "_prob_rows", refuse)
+        monkeypatch.setattr(cli, "_prob_cols", refuse)
         assert cli.main(["prob", "--n", "3", "--k", "1", "--sweep", "0", "1", "100001"]) == 2
         assert "at most 100000" in capsys.readouterr().err
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_weights_are_the_documented_grid(self, data):
+        start = data.draw(st.one_of(st.just(-0.0), st.floats(0.0, 1.0)), label="start")
+        end = data.draw(st.floats(max(start, 0.0), 1.0), label="end")
+        steps = data.draw(st.integers(1, 10**5), label="steps")
+        env = _handler_envelope("prob", "--n", "9", "--k", "2",
+                                "--sweep", repr(start), repr(end), str(steps))
+        assert [float.hex(row[2]) for row in env["rows"]] == \
+            [float.hex(start + i * (end - start) / steps) for i in range(steps + 1)]
 
 
 class TestBifurcation:
@@ -554,6 +566,32 @@ class TestRender:
 
         env = {**self.NUMERIC, "columns": columns}
         assert {type(v) for row in env["rows"] for v in row} == {int, float}
+        for fmt in ("csv", "json"):
+            assert cli._render(env, fmt) == _reference_render(env, fmt)
+
+    @pytest.mark.parametrize("cell", ["supercritical", " padded ", "\u00e9\u00df", ",", '"', "\r",
+                                      "\n", "a,b", 'say "x"', "cr\rlf", ""])
+    def test_str_cells_match_reference(self, cell):
+        import dickelift.cli as cli
+
+        env = {**self.NUMERIC, "columns": ["a", "b", "c"],
+               "rows": [[1, cell, 0.5], [2, "critical", -0.0]]}
+        for fmt in ("csv", "json"):
+            assert cli._render(env, fmt) == _reference_render(env, fmt)
+        # csv writes a nonempty str with none of , " \r \n bare: such tables take the join
+        bare = cell != "" and not any(c in cell for c in ',"\r\n')
+        assert (cli._csv_row_format(env["rows"]) is not None) == bare
+
+    @pytest.mark.parametrize("rows", [
+        [[""]],                      # csv quotes a lone empty field
+        [["x"], [""], [1.5]],
+        [["x"], ["y"], [2]],
+        [[1, 2.5], [3], [0.1, 4, "x"]],  # rows of different widths
+    ])
+    def test_narrow_and_ragged_rows_match_reference(self, rows):
+        import dickelift.cli as cli
+
+        env = {**self.NUMERIC, "columns": ["a"], "rows": rows}
         for fmt in ("csv", "json"):
             assert cli._render(env, fmt) == _reference_render(env, fmt)
 

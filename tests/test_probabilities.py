@@ -17,7 +17,14 @@ from dickelift import (
     log_raw_outcome_prob,
     raw_outcome_prob,
 )
-from dickelift.probabilities import _LOG_CUT, _log_raw_all_k, _prob_rows, _raw_law, _window
+from dickelift.probabilities import (
+    _LOG_CUT,
+    _log_raw_all_k,
+    _prob_cols,
+    _prob_rows,
+    _raw_law,
+    _window,
+)
 from dickelift.statevector import build_state, measure_fock
 
 
@@ -84,15 +91,30 @@ class TestRawOutcomeProb:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_pair_kernel_bit_identical(self, data):
-        n = data.draw(st.integers(2, 10**6), label="n")
-        k = data.draw(st.integers(0, n), label="k")
+        # the row form (library calls) and the column form (CLI tables) give the same doubles
+        n = data.draw(st.one_of(st.integers(2, 10**6), st.integers(2, 2**53)), label="n")
+        k = data.draw(st.one_of(st.integers(0, n), st.just(n // 2)), label="k")
         weights = [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
                    k / n, 1.0 - k / n,
                    *data.draw(st.lists(st.floats(0.0, 1.0), max_size=8), label="weights")]
         rows = _prob_rows(n, k, weights)
         assert len(rows) == len(weights)
-        for a, (_, *pair) in zip(weights, rows):
+        cols = _prob_cols(n, k, np.array(weights))
+        assert [list(map(float.hex, row)) for row in zip(*cols)] == \
+            [list(map(float.hex, row)) for row in rows]
+        spec = DickeSpec(n, min(k, n - k)) if 0 < k < n else None
+        for a, (folded, *pair) in zip(weights, rows):
             assert pair == [raw_outcome_prob(n, k, a), raw_outcome_prob(n, n - k, a)], a
+            if spec is not None:  # folding k and n - k is one sum, in either order
+                assert folded == folded_prob(spec, a), a
+
+    @pytest.mark.parametrize("n,k", [(7, 2), (8, 4), (10, 3), (10**6, 3), (2**53, 2**52)])
+    def test_column_kernel_on_a_sweep_grid(self, n, k):
+        # dense enough that libm's and numpy's log, log1p or exp would part in some row
+        weights = np.arange(10001) / 10000
+        rows = _prob_rows(n, k, weights.tolist())
+        assert [list(map(float.hex, row)) for row in zip(*_prob_cols(n, k, weights))] == \
+            [list(map(float.hex, row)) for row in rows]
 
     @given(n=st.integers(2, 64), p00=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)

@@ -117,6 +117,15 @@ def test_above_highest_names_argument_and_value(call, name, lo, hi):
         call(hi + 1)
 
 
+def test_bifurcation_k_past_its_range_names_k():
+    # no n_min >= 2k lies under 2^53, so the error is about k, not about an empty n_min range
+    for k, n in ((2**52 + 1, 2**53), (2**60, 2**61)):
+        with pytest.raises(_ArgumentError, match=_range_message("k", 1, 2**52, k)):
+            bifurcation_diagram(k, n, n)
+    (point,) = bifurcation_diagram(2**52, 2**53, 2**53)
+    assert (point.n, point.k) == (2**53, 2**52)
+
+
 # id: (call with the checked weight in place, its name)
 WEIGHTS = {
     "SourceState.from_p00": (SourceState.from_p00, "p00"),
