@@ -12,15 +12,13 @@ argument outside the library's range (named as the library names it, p00 for
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 from datetime import datetime, timezone
-from itertools import chain, repeat, starmap
+from itertools import repeat, starmap
 
 from . import __version__
 from .entanglement import BipartiteMeasure, check_locc_bound, tangle_decay_bound
@@ -69,61 +67,30 @@ def _envelope(command: str, parameters: dict, columns: list[str], rows: list[lis
     return env
 
 
-# the cell types whose csv text differs from _cell's: str(True), and "" for None
-_CSV_UNLIKE_CELL = frozenset({bool, type(None)})
 _JSON_ROWS = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return float.__repr__(value)
-    return str(value)
-
-
-def _csv_row_format(rows: list) -> str | None:
-    """The row format "{},...,{}\n" if csv writes each cell of the table as str(), else None.
-
-    csv writes an int or float cell as str(), and a str bare unless it is empty or holds a
-    ',', '"', '\r' or '\n'; format() with an empty spec gives str(). Every row must have
-    the same width, the number of fields in the format.
-    """
-    widths = set(map(len, rows))
-    types = set(map(type, chain.from_iterable(rows)))
-    if len(widths) != 1 or not types <= {int, float, str}:
-        return None
-    if str in types:
-        strs = set(filter(str.__instancecheck__, chain.from_iterable(rows)))
-        text = "".join(strs)
-        if "" in strs or any(c in text for c in ',"\r\n'):
-            return None
-    return ",".join(["{}"] * widths.pop()) + "\n"
-
-
 def _render(env: dict, fmt: str) -> str:
-    """The envelope as CSV, or as JSON with indent=2; rows are non-empty sequences of scalars.
+    """The envelope as CSV, or as JSON with indent=2; each row holds one scalar per column.
 
-    Each table takes one C-level pass. JSON encodes all rows at once with separators that
-    give indent=2 inside a row; strings escape newlines, so "],\n      [" occurs only
-    between rows, where one replace puts in the row breaks. A CSV table that csv would
-    write as str() of each cell (_csv_row_format) is joined from one format string per
-    row; other tables take csv.writer, with _cell for rows holding a bool or None. A
-    5001-row sweep takes about 13 ms as CSV or as JSON on a 2-vCPU x86 VM, 10 ms of it in
-    float repr.
+    A CSV cell is an int or float in shortest round-trip form, a str bare, or a bool as
+    true/false as in JSON, one cell per column. The header and every row are joined from
+    one format string. That relies on what the handlers emit: no str that is empty or
+    holds a ',', '"', '\r' or '\n', and bools only in all-bool columns, found from the
+    first row. An empty table is its header alone. JSON encodes all rows at once with
+    separators that give indent=2 inside a row; strings escape newlines, so "],\n      ["
+    occurs only between rows, where one replace puts in the row breaks. Each format takes
+    one C-level pass: a 5001-row sweep takes about 13 ms as CSV or as JSON on a 2-vCPU x86
+    VM, 10 ms of it in float repr.
     """
     rows = env["rows"]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(env["columns"])
-        row_format = _csv_row_format(rows)
-        if row_format is not None:
-            buf.write("".join(starmap(row_format.format, rows)))
-        else:
-            writer.writerows(row if _CSV_UNLIKE_CELL.isdisjoint(map(type, row))
-                             else [_cell(v) for v in row] for row in rows)
-        return buf.getvalue()
+        line = ",".join(["{}"] * len(env["columns"])) + "\n"
+        bools = {i for i, cell in enumerate(rows[0]) if isinstance(cell, bool)} if rows else ()
+        if bools:
+            rows = [[("true" if cell else "false") if i in bools else cell
+                     for i, cell in enumerate(row)] for row in rows]
+        return "".join(starmap(line.format, [env["columns"], *rows]))
     text = json.dumps({**env, "rows": []}, indent=2) + "\n"
     if not rows:
         return text

@@ -12,6 +12,7 @@ n of order 10^6 neither overflows nor underflows.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -56,12 +57,17 @@ def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> i
 
 
 def _check_p00(p00: float, name: str = "p00") -> float:
-    if isinstance(p00, (str, bytes, bool, np.bool_)):
-        raise TypeError(f"{name} must be a real number, got {p00!r}")
-    p00 = float(p00)
-    if not 0.0 <= p00 <= 1.0:
-        raise _ArgumentError(f"{name} must lie in [0, 1], got {p00!r}")
-    return p00
+    """p00 as a float in [0, 1]; a real number is a non-bool numbers.Real or a 0-d array of one."""
+    value = p00
+    if not isinstance(value, float):
+        if isinstance(value, np.ndarray) and value.ndim == 0:
+            value = value[()]
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {p00!r}")
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise _ArgumentError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
 
 
 def _check_norm(total: float, what: str) -> None:

@@ -510,6 +510,33 @@ def _reference_render(env: dict, fmt: str) -> str:
     return json.dumps(env, indent=2) + "\n"
 
 
+def _contract_breaches(env: dict) -> list[str]:
+    """The clauses of the table contract that env breaks; _render's CSV join relies on it.
+
+    Each row has one cell per column; each cell is an int, float, str or bool; a column is
+    all bool or holds none; and each str, column names included, is one csv writes bare:
+    nonempty, with no ',', '"', '\r' or '\n'.
+    """
+    columns, rows = env["columns"], env["rows"]
+    cells = [cell for row in rows for cell in row]
+    strs = [cell for cell in [*columns, *cells] if type(cell) is str]
+    mixed = [name for j, name in enumerate(columns)
+             if len({type(row[j]) is bool for row in rows if j < len(row)}) > 1]
+    return [breach for breach, holds in [
+        ("a row is not len(columns) wide", all(len(row) == len(columns) for row in rows)),
+        ("a cell is not an int, float, str or bool",
+         {type(cell) for cell in cells} <= {int, float, str, bool}),
+        (f"columns {mixed} mix bools with other cells", not mixed),
+        ("a str is empty or holds a ',', '\"', '\\r' or '\\n'",
+         all(s and not any(c in s for c in ',"\r\n') for s in strs)),
+    ] if not holds]
+
+
+def _formats(env: dict) -> tuple[str, ...]:
+    """csv and json for a table the CSV join takes, else json alone."""
+    return ("json",) if _contract_breaches(env) else ("csv", "json")
+
+
 def _handler_envelope(*argv):
     import dickelift.cli as cli
 
@@ -559,6 +586,7 @@ class TestRender:
         ],
     }
 
+    # the second names are not bare, so csv would quote them: JSON only
     @pytest.mark.parametrize("columns", [["a", "b", "c", "d", "e"],
                                          ["a,b", 'say "c"', "d", "e", 'f,"g"']])
     def test_numeric_table_matches_reference(self, columns):
@@ -566,9 +594,11 @@ class TestRender:
 
         env = {**self.NUMERIC, "columns": columns}
         assert {type(v) for row in env["rows"] for v in row} == {int, float}
-        for fmt in ("csv", "json"):
+        assert ("csv" in _formats(env)) == (columns == self.NUMERIC["columns"])
+        for fmt in _formats(env):
             assert cli._render(env, fmt) == _reference_render(env, fmt)
 
+    # the CSV half checks the bare cells; no handler emits the others
     @pytest.mark.parametrize("cell", ["supercritical", " padded ", "\u00e9\u00df", ",", '"', "\r",
                                       "\n", "a,b", 'say "x"', "cr\rlf", ""])
     def test_str_cells_match_reference(self, cell):
@@ -576,14 +606,12 @@ class TestRender:
 
         env = {**self.NUMERIC, "columns": ["a", "b", "c"],
                "rows": [[1, cell, 0.5], [2, "critical", -0.0]]}
-        for fmt in ("csv", "json"):
+        for fmt in _formats(env):
             assert cli._render(env, fmt) == _reference_render(env, fmt)
-        # csv writes a nonempty str with none of , " \r \n bare: such tables take the join
-        bare = cell != "" and not any(c in cell for c in ',"\r\n')
-        assert (cli._csv_row_format(env["rows"]) is not None) == bare
 
+    # only the third table keeps the contract and takes the CSV half
     @pytest.mark.parametrize("rows", [
-        [[""]],                      # csv quotes a lone empty field
+        [[""]],
         [["x"], [""], [1.5]],
         [["x"], ["y"], [2]],
         [[1, 2.5], [3], [0.1, 4, "x"]],  # rows of different widths
@@ -592,10 +620,10 @@ class TestRender:
         import dickelift.cli as cli
 
         env = {**self.NUMERIC, "columns": ["a"], "rows": rows}
-        for fmt in ("csv", "json"):
+        for fmt in _formats(env):
             assert cli._render(env, fmt) == _reference_render(env, fmt)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["json"])
     def test_numpy_and_bool_cells_match_reference(self, fmt):
         import dickelift.cli as cli
 
@@ -624,7 +652,22 @@ class TestRender:
         env = _handler_envelope(*self.ENVELOPES[name])
         assert cli._render(env, fmt) == _reference_render(env, fmt)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    # every table a handler emits; bifurcation_k3 spans all three regimes
+    TABLES = {
+        **ENVELOPES,
+        "bifurcation_k3": ("bifurcation", "--k", "3", "--n", "6", "12"),
+        "entanglement_tangle": ("entanglement", "--n", "20", "--k", "3", "--measure", "tangle"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_handler_tables_keep_the_contract(self, name):
+        env = _handler_envelope(*self.TABLES[name])
+        assert _contract_breaches(env) == []
+        if name == "bifurcation_k3":
+            assert {row[2] for row in env["rows"]} == {"subcritical", "critical", "supercritical"}
+
+    # JSON only: SYNTHETIC holds None, bools in mixed columns and strs csv would quote
+    @pytest.mark.parametrize("fmt", ["json"])
     def test_synthetic_envelope_matches_reference(self, fmt):
         import dickelift.cli as cli
 

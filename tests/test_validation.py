@@ -4,8 +4,9 @@ A non-integer raises TypeError "{name} must be an integer, got {value!r}";
 one past a bound raises ValueError "{name} must be at least {lo}, got {v}"
 or "{name} must lie in [{lo}, {hi}], got {v}", as the private subclass on
 which the command line exits 2. A weight (p00, or binary_entropy's p) given as
-a str, bytes or bool raises TypeError "{name} must be a real number, got
-{value!r}". Result records the library builds itself
+anything but a real number raises TypeError "{name} must be a real number, got
+{value!r}": a str, bytes, bool, None, complex, list or 1-element array among
+them; a numpy real scalar or 0-d array is a real number. Result records the library builds itself
 (RunBatch, BifurcationPoint, ...) are not checked. A NaN in a state or law
 fails its normalisation check.
 """
@@ -140,14 +141,25 @@ WEIGHTS = {
 }
 
 
-@pytest.mark.parametrize("value", ["0.5", b"0.5", True, np.bool_(False)],
-                         ids=["str", "bytes", "bool", "numpy-bool"])
+@pytest.mark.parametrize("value", ["0.5", b"0.5", True, np.bool_(False), None, 0.5 + 0j, [0.5],
+                                   np.array([0.5])],
+                         ids=["str", "bytes", "bool", "numpy-bool", "None", "complex", "list",
+                              "numpy-1-element"])
 @pytest.mark.parametrize("call, name", [pytest.param(*case, id=key)
                                         for key, case in WEIGHTS.items()])
 def test_non_number_weight_names_argument(call, name, value):
     message = "^" + re.escape(f"{name} must be a real number, got {value!r}") + "$"
     with pytest.raises(TypeError, match=message):
         call(value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.array(0.5)],
+                         ids=["float32", "float64", "numpy-0-d"])
+@pytest.mark.parametrize("call", [pytest.param(case[0], id=key) for key, case in WEIGHTS.items()])
+def test_numpy_real_weight_is_accepted(call, value):
+    result = call(value)
+    if isinstance(result, float):
+        assert result == call(0.5)
 
 
 def test_empty_amplitudes_are_not_a_state():
