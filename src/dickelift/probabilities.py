@@ -44,8 +44,10 @@ class _ArgumentError(ValueError):
 
 
 def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
-    """value as an int, at least lo and at most hi where given; each error names the input."""
+    """value as a non-bool int, at least lo and at most hi where given; each error names it."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
@@ -126,49 +128,42 @@ def _log_binom(n: int, k: int) -> tuple[int, float]:
     return lo, math.lgamma(n + 1) - math.lgamma(lo + 1) - math.lgamma(n - lo + 1)
 
 
-def _log_pairs(n: int, k: int, weights) -> list[tuple[float, float]]:
-    """(log raw k, log raw n-k) at each weight a: the one evaluation of the herald law.
+def _log_pair(n: int, k: int, a: float) -> tuple[float, float]:
+    """(log raw k, log raw n-k) at weight a: the one scalar evaluation of the herald law.
 
     Unvalidated: assumes 0 <= k <= n and 0 <= a <= 1. Outcome j is evaluated
     as min(0, log C(n, j) + (n-j) log p + j log1p(-p)) at a p >= 1/2: through
     the mirrored pair (n-j, 1-a) below 1/2, and with the smaller of j, n-j at
     exactly 1/2 (which 1 - a can round to), so the k <-> n-k, a <-> 1-a
-    symmetry holds bit for bit. log C(n, k), the same double for k and n-k,
-    is taken once per call; each weight takes one log and one log1p.
+    symmetry holds bit for bit. log C(n, k) is the same double for k and n-k.
     """
     lo, log_binom = _log_binom(n, k)
-    pairs = []
-    for a in weights:
-        ka, kb, p = (k, n - k, a) if a >= 0.5 else (n - k, k, 1.0 - a)
-        if p == 0.5:
-            ka = kb = lo
-        elif p == 1.0:  # only outcome 0 can occur, and log1p(-1) is undefined
-            pairs.append((0.0 if ka == 0 else -math.inf, 0.0 if kb == 0 else -math.inf))
-            continue
-        log_p, log_q = math.log(p), math.log1p(-p)
-        pairs.append((min(0.0, log_binom + (n - ka) * log_p + ka * log_q),
-                      min(0.0, log_binom + (n - kb) * log_p + kb * log_q)))
-    return pairs
+    ka, kb, p = (k, n - k, a) if a >= 0.5 else (n - k, k, 1.0 - a)
+    if p == 0.5:
+        ka = kb = lo
+    elif p == 1.0:  # only outcome 0 can occur, and log1p(-1) is undefined
+        return 0.0 if ka == 0 else -math.inf, 0.0 if kb == 0 else -math.inf
+    log_p, log_q = math.log(p), math.log1p(-p)
+    return (min(0.0, log_binom + (n - ka) * log_p + ka * log_q),
+            min(0.0, log_binom + (n - kb) * log_p + kb * log_q))
 
 
-def _prob_rows(n: int, k: int, weights) -> list[tuple[float, float, float]]:
-    """(folded, raw k, raw n-k) per weight, unvalidated; a self-paired k = n/2 folds alone."""
-    rows = []
-    for la, lb in _log_pairs(n, k, weights):
-        ra, rb = math.exp(la), math.exp(lb)
-        rows.append((ra if 2 * k == n else ra + rb, ra, rb))
-    return rows
+def _folded(n: int, k: int, a: float) -> float:
+    """Folded probability of class k at weight a, unvalidated; a self-paired k = n/2 folds alone."""
+    la, lb = _log_pair(n, k, a)
+    return math.exp(la) if 2 * k == n else math.exp(la) + math.exp(lb)
 
 
 def _prob_cols(n: int, k: int, weights: np.ndarray) -> tuple[list, list, list]:
-    """(folded, raw k, raw n-k) as three columns over an array of weights: _prob_rows by column.
+    """(folded, raw k, raw n-k) as three columns over an array of weights, unvalidated.
 
-    The operations of _log_pairs in the same order, each over a whole column: numpy does
-    the mirror, the masks at 1/2 and 1 and the multiply-adds (one IEEE rounding each, like
-    Python's), and libm's log, log1p and exp are each mapped once over a .tolist() column,
-    since numpy's differ from them in the last bit. So every double equals _prob_rows'.
-    Unvalidated. A call on one weight takes about 24 us, against 1.6 us for _prob_rows, so
-    the library's scalar calls keep _prob_rows and the command line's tables take this form.
+    Parity contract: entry i of the columns is (_folded(n, k, a), *map(math.exp,
+    _log_pair(n, k, a))) at a = weights[i], bit for bit. The operations of _log_pair run in
+    the same order, each over a whole column: numpy does the mirror, the masks at 1/2 and 1
+    and the multiply-adds (one IEEE rounding each, like Python's), and libm's log, log1p and
+    exp are each mapped once over a .tolist() column, since numpy's differ from them in the
+    last bit. A call on one weight takes about 24 us, against 1.6 us for _folded, so the
+    library's scalar calls keep _log_pair and the command line's tables take this form.
     """
     lo, log_binom = _log_binom(n, k)
     mirror = weights < 0.5
@@ -198,7 +193,7 @@ def log_raw_outcome_prob(n, k, p00) -> float:
     """
     n = _as_int(n, "n", 1, _MAX_N)
     k = _as_int(k, "k", 0, n)
-    return _log_pairs(n, k, [_check_p00(p00)])[0][0]
+    return _log_pair(n, k, _check_p00(p00))[0]
 
 
 def raw_outcome_prob(n, k, p00) -> float:
@@ -208,7 +203,7 @@ def raw_outcome_prob(n, k, p00) -> float:
 
 def log_folded_prob(spec: DickeSpec, p00) -> float:
     """Natural log of folded_prob(spec, p00): at most 0, and -inf for zero."""
-    ((la, lb),) = _log_pairs(spec.n, spec.k, [_check_p00(p00)])
+    la, lb = _log_pair(spec.n, spec.k, _check_p00(p00))
     if 2 * spec.k == spec.n:
         return la
     return min(0.0, float(np.logaddexp(la, lb)))
@@ -220,7 +215,7 @@ def folded_prob(spec: DickeSpec, p00) -> float:
     Sums the raw outcomes k and n-k; for even n and k = n/2 the single
     self-paired outcome is returned unchanged.
     """
-    return _prob_rows(spec.n, spec.k, [_check_p00(p00)])[0][0]
+    return _folded(spec.n, spec.k, _check_p00(p00))
 
 
 def failure_prob(n, p00) -> float:
@@ -234,7 +229,7 @@ def failure_prob(n, p00) -> float:
 
 
 def _log_raw_all_k(n: int, p00: float, a: int, b: int) -> np.ndarray:
-    """Log outcome probabilities for k = a..b, the same doubles as _log_pairs gives.
+    """Log outcome probabilities for k = a..b, the same doubles as _log_pair gives.
 
     As there, outcome k is evaluated at j = n - k with p = 1 - p00 below 1/2, and at
     j = min(k, n - k) at exactly 1/2, in one contiguous pass, so that the exp of the

@@ -1,13 +1,22 @@
 """Relative error of public numeric results against 50-digit mpmath references.
 
 Each test asserts the bound that the function's docstring states. Inputs are drawn
-over the documented range: n log-uniform on [2, 2^53], k log-uniform on [1, n // 2].
+over the documented range: n log-uniform on [2, 2^53], k log-uniform on [1, n // 2],
+and a threshold's k log-uniform on [1, 2^1000].
 """
 
 import mpmath
 from hypothesis import example, given, settings, strategies as st
 
-from dickelift import BipartiteMeasure, DickeSpec, SourceState, check_locc_bound, tangle_decay_bound
+from dickelift import (
+    BipartiteMeasure,
+    DickeSpec,
+    SourceState,
+    asymptotic_expansion,
+    check_locc_bound,
+    critical_threshold,
+    tangle_decay_bound,
+)
 
 
 @st.composite
@@ -66,3 +75,25 @@ def test_tangle_decay_bound_within_1e_13(spec):
         n, k = mpmath.mpf(spec.n), mpmath.mpf(spec.k)
         limit = mpmath.exp(k * mpmath.log(k) - k - mpmath.loggamma(k + 1))
         assert _within(bound, 4 * k / (limit * (1 + k / (2 * n)) * n), 1e-13)
+
+
+@_with_edges
+@settings(max_examples=300, deadline=None)
+@given(_specs())
+def test_asymptotic_expansion_within_1e_13(spec):
+    with mpmath.workdps(50):
+        n, k = mpmath.mpf(spec.n), mpmath.mpf(spec.k)
+        limit = mpmath.exp(k * mpmath.log(k) - k - mpmath.loggamma(k + 1))
+        assert _within(asymptotic_expansion(spec), limit * (1 + k / (2 * n)), 1e-13)
+
+
+@example(1)
+@example(2**52)
+@example(2**1000)
+@settings(max_examples=300, deadline=None)
+@given(_log_uniform(1, 2**1000))
+def test_critical_threshold_eta_c_within_1e_15(k):
+    with mpmath.workdps(50):
+        two_k = 2 * mpmath.mpf(k)
+        exact = two_k + mpmath.mpf(1) / 2 + mpmath.sqrt(two_k + mpmath.mpf(1) / 4)
+        assert _within(critical_threshold(k).eta_c, exact, 1e-15)

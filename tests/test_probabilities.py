@@ -19,9 +19,10 @@ from dickelift import (
 )
 from dickelift.probabilities import (
     _LOG_CUT,
+    _folded,
+    _log_pair,
     _log_raw_all_k,
     _prob_cols,
-    _prob_rows,
     _raw_law,
     _window,
 )
@@ -97,7 +98,7 @@ class TestRawOutcomeProb:
         weights = [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
                    k / n, 1.0 - k / n,
                    *data.draw(st.lists(st.floats(0.0, 1.0), max_size=8), label="weights")]
-        rows = _prob_rows(n, k, weights)
+        rows = [(_folded(n, k, a), *map(math.exp, _log_pair(n, k, a))) for a in weights]
         assert len(rows) == len(weights)
         cols = _prob_cols(n, k, np.array(weights))
         assert [list(map(float.hex, row)) for row in zip(*cols)] == \
@@ -112,7 +113,7 @@ class TestRawOutcomeProb:
     def test_column_kernel_on_a_sweep_grid(self, n, k):
         # dense enough that libm's and numpy's log, log1p or exp would part in some row
         weights = np.arange(10001) / 10000
-        rows = _prob_rows(n, k, weights.tolist())
+        rows = [(_folded(n, k, a), *map(math.exp, _log_pair(n, k, a))) for a in weights.tolist()]
         assert [list(map(float.hex, row)) for row in zip(*_prob_cols(n, k, weights))] == \
             [list(map(float.hex, row)) for row in rows]
 

@@ -1,7 +1,7 @@
 """Every integer argument of the public API fails the same way, naming itself.
 
-A non-integer raises TypeError "{name} must be an integer, got {value!r}";
-one past a bound raises ValueError "{name} must be at least {lo}, got {v}"
+A non-integer, bool included, raises TypeError "{name} must be an integer, got
+{value!r}"; one past a bound raises ValueError "{name} must be at least {lo}, got {v}"
 or "{name} must lie in [{lo}, {hi}], got {v}", as the private subclass on
 which the command line exits 2. A weight (p00, or binary_entropy's p) given as
 anything but a real number raises TypeError "{name} must be a real number, got
@@ -90,15 +90,17 @@ CASES = {
 
 
 def _bounded(bound):
-    """The cases as parameters; with bound 2 (lo) or 3 (hi), those that have it."""
-    return [pytest.param(*case, id=key) for key, case in CASES.items()
-            if bound is None or case[bound] is not None]
+    """The cases that have bound 2 (lo) or 3 (hi), as parameters."""
+    return [pytest.param(*case, id=key) for key, case in CASES.items() if case[bound] is not None]
 
 
-@pytest.mark.parametrize("call, name, lo, hi", _bounded(None))
-def test_non_integer_names_argument(call, name, lo, hi):
-    with pytest.raises(TypeError, match=f"^{name} must be an integer, got 5.0$"):
-        call(5.0)
+@pytest.mark.parametrize("call, name, lo, hi, value", [
+    pytest.param(*case, value, id=key + suffix)
+    for key, case in CASES.items() for value, suffix in ((5.0, ""), (True, "-True"))])
+def test_non_integer_names_argument(call, name, lo, hi, value):
+    message = re.escape(f"{name} must be an integer, got {value!r}")
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call(value)
 
 
 def _range_message(name, lo, hi, value):
