@@ -34,8 +34,9 @@ _MAX_RUNS = 10**9
 # A sweep at the cap takes about 0.6 s at 73 MB (CSV) or 78 MB (JSON) peak RSS,
 # on the same VM (a cold run, min of 5).
 _MAX_SWEEP_STEPS = 10**5
-# Values of n in one `bifurcation` or `decay` run, one optimal-source solve
-# each: at the cap about 6 s each, at most 118 MB peak RSS, on the same VM.
+# Values of n in one `bifurcation` or `decay` run. At the cap, with k = 3, `bifurcation`
+# takes about 1.6 s at 120 MB peak RSS, `decay --source optimal` 1.3 s at 92 MB and
+# `--source epr` 0.7 s at 59 MB, on the same VM (a cold run, min of 5).
 _MAX_N_VALUES = 10**5
 
 
@@ -173,12 +174,12 @@ def _cmd_decay(args) -> dict:
     DickeSpec(args.n_max, args.k)  # the library's range: 1 <= k <= n_max // 2
     n_min = 2 * args.k
     _check_n_span("--n-max", n_min, args.n_max)
-    specs = [DickeSpec(n, args.k) for n in range(n_min, args.n_max + 1)]
     if args.source == "epr":
-        probs = [folded_prob(spec, 0.5) for spec in specs]
+        rows = [[spec.n, folded_prob(spec, 0.5), asymptotic_expansion(spec)]
+                for spec in map(DickeSpec, range(n_min, args.n_max + 1), repeat(args.k))]
     else:
-        probs = [point.p_opt for point in bifurcation_diagram(args.k, n_min, args.n_max)]
-    rows = [[spec.n, p, asymptotic_expansion(spec)] for spec, p in zip(specs, probs)]
+        rows = [[point.n, point.p_opt, asymptotic_expansion(DickeSpec(point.n, point.k))]
+                for point in bifurcation_diagram(args.k, n_min, args.n_max)]
     return _envelope("decay", {"k": args.k, "n_max": args.n_max, "source": args.source},
                      ["n", "P", "P_asymp"], rows)
 

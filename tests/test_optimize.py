@@ -16,6 +16,7 @@ from dickelift import (
     folded_prob,
     optimize_source,
 )
+from dickelift.optimize import _MIN_LANES, _lower_root, _lower_roots
 
 
 def grid_success_prob(n, k, weights):
@@ -230,6 +231,70 @@ class TestBifurcationDiagram:
             bifurcation_diagram(2, 3, 10)
         with pytest.raises(ValueError):
             bifurcation_diagram(1, 5, 4)
+
+
+def first_supercritical(k):
+    """The least n with (n - 2k)^2 > n: every n from it on is supercritical."""
+    thr = critical_threshold(k)
+    return thr.n_c + thr.eta_is_integer
+
+
+def outcome(call):
+    """call()'s value, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+class TestBatchedBisection:
+    """The batch returns the scalar bisection's doubles, and grids its points."""
+
+    @staticmethod
+    def assert_batch_is_scalar(ns, ks):
+        assert all((n - 2 * k) ** 2 > n for n, k in zip(ns, ks))
+        batch = _lower_roots(np.array(ns), np.array(ks)).tolist()
+        mismatches = [(n, k, x, y) for n, k, x, y in
+                      zip(ns, ks, batch, map(_lower_root, ns, ks)) if x != y]
+        assert not mismatches, f"{len(mismatches)} of {len(ns)} lanes: {mismatches[:5]}"
+
+    def test_every_supercritical_n_to_20000(self):
+        grid = [(n, k) for k in (1, 3, 10) for n in range(first_supercritical(k), 20001)]
+        self.assert_batch_is_scalar(*zip(*grid))
+
+    def test_random_n_to_2_53(self):
+        rng = random.Random(31)
+        grid = []
+        while len(grid) < 3000:
+            n = rng.randrange(5, 2**53 + 1)
+            k = rng.randrange(1, n // 2 + 1)
+            if (n - 2 * k) ** 2 > n:
+                grid.append((n, k))
+        self.assert_batch_is_scalar(*zip(*grid))
+
+    def test_near_critical(self):
+        # where g is flat near its double root at 1/2 and numpy's logs flip its sign: with
+        # the rounding band set to 0, 17 of these 11998 lanes returned another double
+        rng = random.Random(32)
+        grid = []
+        for _ in range(3000):
+            k = int(math.exp(rng.uniform(math.log(1e3), math.log(2**50))))
+            grid += [(n, k) for n in (critical_threshold(k).n_c + j for j in (0, 1, 2, 5))
+                     if (n - 2 * k) ** 2 > n]
+        self.assert_batch_is_scalar(*zip(*grid))
+
+    @pytest.mark.parametrize("k,n_min,n_max", [
+        (1, 2, 60), (3, 6, 200), (10, 25, 140), (5, 400, 2000),
+        # near n_c, where optimize_source's maximum check can fail (ROADMAP item 17): at the
+        # first n of the first grid, and at several n of the last two
+        (1000404, 2002223, 2002322), (1000404, 2002224, 2002323),
+        (123456789012, 246914074929, 246914075008), (987654321, 1975353094, 1975353173),
+    ])
+    def test_grid_is_per_n(self, k, n_min, n_max):
+        assert n_max - max(n_min, first_supercritical(k)) + 1 >= _MIN_LANES  # the batch path
+        per_n = outcome(lambda: [optimize_source(DickeSpec(n, k))
+                                 for n in range(n_min, n_max + 1)])
+        assert outcome(lambda: bifurcation_diagram(k, n_min, n_max)) == per_n
 
 
 class TestAsymptotics:
