@@ -22,8 +22,8 @@ from itertools import repeat, starmap
 
 from . import __version__
 from .entanglement import BipartiteMeasure, check_locc_bound, tangle_decay_bound
-from .optimize import asymptotic_expansion, bifurcation_diagram
-from .probabilities import DickeSpec, _ArgumentError, _check_p00, _prob_cols, folded_prob
+from .optimize import asymptotic_prob, bifurcation_diagram
+from .probabilities import DickeSpec, _ArgumentError, _check_p00, _prob_cols
 from .sampling import _streamed_report
 
 __all__ = ["main"]
@@ -35,8 +35,8 @@ _MAX_RUNS = 10**9
 # on the same VM (a cold run, min of 5).
 _MAX_SWEEP_STEPS = 10**5
 # Values of n in one `bifurcation` or `decay` run. At the cap, with k = 3, `bifurcation`
-# takes about 1.6 s at 120 MB peak RSS, `decay --source optimal` 1.3 s at 92 MB and
-# `--source epr` 0.7 s at 59 MB, on the same VM (a cold run, min of 5).
+# takes about 1.3 s at 122 MB peak RSS, `decay --source optimal` 0.8 s at 78 MB and
+# `--source epr` 0.4 s at 59 MB, on the same VM (a cold run, min of 5).
 _MAX_N_VALUES = 10**5
 
 
@@ -171,16 +171,20 @@ def _cmd_bifurcation(args) -> dict:
 
 
 def _cmd_decay(args) -> dict:
+    import numpy as np
+
     DickeSpec(args.n_max, args.k)  # the library's range: 1 <= k <= n_max // 2
-    n_min = 2 * args.k
-    _check_n_span("--n-max", n_min, args.n_max)
+    k = args.k
+    _check_n_span("--n-max", 2 * k, args.n_max)
+    n = np.arange(2 * k, args.n_max + 1)
     if args.source == "epr":
-        rows = [[spec.n, folded_prob(spec, 0.5), asymptotic_expansion(spec)]
-                for spec in map(DickeSpec, range(n_min, args.n_max + 1), repeat(args.k))]
+        p = _prob_cols(n, k, np.full(n.size, 0.5))[0].tolist()
     else:
-        rows = [[point.n, point.p_opt, asymptotic_expansion(DickeSpec(point.n, point.k))]
-                for point in bifurcation_diagram(args.k, n_min, args.n_max)]
-    return _envelope("decay", {"k": args.k, "n_max": args.n_max, "source": args.source},
+        p = [point.p_opt for point in bifurcation_diagram(k, 2 * k, args.n_max)]
+    # asymptotic_expansion's expression, each operation the same IEEE one as Python's
+    p_asymp = asymptotic_prob(k) * (1.0 + k / (2.0 * n))
+    rows = list(zip(n.tolist(), p, p_asymp.tolist()))
+    return _envelope("decay", {"k": k, "n_max": args.n_max, "source": args.source},
                      ["n", "P", "P_asymp"], rows)
 
 

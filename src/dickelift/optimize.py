@@ -10,11 +10,15 @@ regime is the sign of that integer, and the lower maximum is the root of g,
 bisected to full double precision. The large-n limits are the optimal
 weight k/n and the probability k^k e^-k / k!.
 
-optimize_source bisects one n in pure Python. bifurcation_diagram bisects the
-supercritical n of its grid, every n above eta_c, as one numpy batch once there
-are _MIN_LANES of them: the same mids, stop and g, with numpy's logs, and with
-libm's in each lane whose |g| lies within a rounding band (_lower_roots), so
-every root is the scalar loop's double.
+optimize_source bisects one n in pure Python. bifurcation_diagram, once its grid
+has _MIN_LANES supercritical n (every n above eta_c), solves those in arrays
+(_lower_roots), by three paths: far above eta_c, where the root is the largest
+double x >= k/n with fl(nx) <= k, in closed form; in the other lanes by one numpy
+bisection (_bisect_roots) with the scalar loop's mids, stop and g, its numpy logs
+re-decided by libm's within a rounding band; or by the scalar loop itself when
+fewer than _MIN_LANES lanes are left to bisect. Its P(1/2) and P(x) come from one
+column kernel with one log C(n, k) per n. Every root and probability is the double
+optimize_source returns.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .probabilities import (
     _ArgumentError,
     _as_int,
     _folded,
+    _prob_cols,
 )
 
 __all__ = [
@@ -46,11 +51,15 @@ __all__ = [
 
 
 _MAX_K = 2**1000  # keeps every float of k in critical_threshold and asymptotic_prob finite
-# _lower_roots re-decides a lane through the scalar _g where |g| <= _BAND * M (its docstring)
+# _lower_roots gives a lane its root in closed form where v0 < _V0_CLOSED (its docstring)
+_V0_CLOSED = -40.0
+# _bisect_roots re-decides a lane through the scalar _g where |g| <= _BAND * M (its docstring)
 _BAND = 16 * 2.0**-52
-# bifurcation_diagram bisects its supercritical n as one batch from this many on: the batch
-# costs about 1 ms plus 1-3 us a lane, the scalar loop 35-45 us a root, and they broke even
-# at 24-32 lanes for k = 1, 3, 5 (numpy 2.4, AVX-512, on a 2-vCPU x86 VM)
+# _lower_roots bisects the lanes the closed form leaves as one batch from this many on, and
+# bifurcation_diagram solves a grid in arrays from this many supercritical n. The batch costs
+# about 0.95 ms plus 1-3 us a lane, the scalar loop 22-25 us a root: they broke even at 38-40
+# bisected lanes for k = 3, 10, 30, 100, and a grid of 32 near-critical n, all bisected, took
+# 1.1-1.2 ms in arrays against 1.0-1.2 ms per n (min of 40; numpy 2.4, AVX-512, 2-vCPU x86 VM)
 _MIN_LANES = 32
 
 
@@ -147,7 +156,48 @@ def _lower_root(n: int, k: int) -> float:
 
 
 def _lower_roots(n, k):
-    """_lower_root over arrays of n and k (broadcast), bit for bit, all lanes at once.
+    """_lower_root over arrays of n and k (broadcast), bit for bit: closed form far above eta_c.
+
+    With s = n - 2k, let v0 = s log(k/(n - k)) + log s. In every lane with v0 < _V0_CLOSED the
+    scalar loop moves down at each mid x with fl(nx) > k and up at every other, so it returns
+    max(fl(k/n), the largest double x with fl(nx) <= k). Doubles x near k/n lie n ulp(x) >=
+    ulp(k)/2 apart in nx, so a nextafter step or two up from fl(k/n) finds it (one at most in
+    every lane tested). The other lanes are bisected, as one _bisect_roots batch from
+    _MIN_LANES of them and by _lower_root below that.
+
+    Why -40. Write t = nx - k and h(x) = s logit(x) + log(n - k - nx), so that g = h - log t
+    and h(k/n) = v0. logit is concave on (0, 1/2] and log(n - k - nx) = log(s - t) <= log s,
+    so h <= v0 + c t with c = n s/(k (n - k)), which is below n/k. A mid with fl(nx) > k has t >= ulp(k)/2, which is at least 2^-53 and
+    at most k 2^-53; at the least such t, c t < n 2^-53 <= 1 and -log t <= 53 log 2 < 36.8,
+    so g < -40 + 1 + 36.8 < -2. g has one root on (k/n, 1/2), so that root lies below every
+    such mid and g < 0 at each. libm's g is within a few eps M of the exact one (M as in
+    _bisect_roots), which is far below 2 where v0 is near -40 (there s log((n - k)/k) is
+    about 40 + log s, so s < 2^30) and far below |g| where v0 is lower. The loop and the
+    closed form first part at v0 = -35.3 (tests/test_optimize.py).
+    """
+    import numpy as np
+
+    n, k = (a.ravel() for a in np.broadcast_arrays(np.asarray(n, float), np.asarray(k, float)))
+    roots = k / n
+    closed = (n - 2 * k) * np.log(k / (n - k)) + np.log(n - 2 * k) < _V0_CLOSED
+    x, n_x, k_x = roots[closed], n[closed], k[closed]
+    while True:  # up while the next double keeps fl(nx) <= k
+        above = np.nextafter(x, 1.0)
+        up = n_x * above <= k_x
+        if not up.any():
+            break
+        x[up] = above[up]
+    roots[closed] = x
+    rest = np.flatnonzero(~closed)
+    if rest.size >= _MIN_LANES:
+        roots[rest] = _bisect_roots(n[rest], k[rest])
+    else:
+        roots[rest] = list(map(_lower_root, n[rest].tolist(), k[rest].tolist()))
+    return roots
+
+
+def _bisect_roots(n, k):
+    """_lower_root over float arrays of n and k, bit for bit, all lanes bisected at once.
 
     Each step takes the scalar loop's mid, stop and predicate in every live lane.
     numpy's log and log1p may differ from libm's in the last bit, so g is screened
@@ -163,7 +213,6 @@ def _lower_roots(n, k):
     """
     import numpy as np
 
-    n, k = (a.ravel() for a in np.broadcast_arrays(np.asarray(n, float), np.asarray(k, float)))
     roots = np.empty(n.shape)
     lane = np.arange(n.size)
     lo, hi = k / n, np.full(n.shape, 0.5)
@@ -190,19 +239,22 @@ def _lower_roots(n, k):
     return roots
 
 
-def _optimum(n: int, k: int, lower_root) -> BifurcationPoint:
-    """optimize_source of a valid (n, k), its lower weight from lower_root(n, k) if needed."""
+def _not_a_maximum(n: int, k: int, x: float) -> RuntimeError:
+    """The error of a supercritical n whose lower weight x fails the maximum check."""
+    return RuntimeError(f"lower branch p00 = {x!r} for n={n}, k={k} is not a maximum "
+                        f"in [k/n, 1/2) above P(1/2)")
+
+
+def _optimum(n: int, k: int) -> BifurcationPoint:
+    """optimize_source of a valid (n, k)."""
     regime = _classify(n, k)
     p_half = _folded(n, k, 0.5)
     if regime is not Regime.SUPERCRITICAL:
         return BifurcationPoint(n=n, k=k, regime=regime, branches=((0.5, p_half),))
-    x = lower_root(n, k)
+    x = _lower_root(n, k)
     p_low = _folded(n, k, x)
     if not (k / n <= x < 0.5 and p_low > p_half):
-        raise RuntimeError(
-            f"lower branch p00 = {x!r} for n={n}, k={k} is not a maximum "
-            f"in [k/n, 1/2) above P(1/2)"
-        )
+        raise _not_a_maximum(n, k, x)
     # P(1 - x) is P(x) bit for bit: _log_pair evaluates x < 1/2 at 1 - x
     return BifurcationPoint(n=n, k=k, regime=regime, branches=((x, p_low), (1.0 - x, p_low)))
 
@@ -215,7 +267,7 @@ def optimize_source(spec: DickeSpec) -> BifurcationPoint:
     and the mirror branch is 1 - x; an x outside [k/n, 1/2) or not above
     P(1/2) raises RuntimeError.
     """
-    return _optimum(spec.n, spec.k, _lower_root)
+    return _optimum(spec.n, spec.k)
 
 
 def bifurcation_diagram(k, n_min, n_max) -> list[BifurcationPoint]:
@@ -229,19 +281,31 @@ def bifurcation_diagram(k, n_min, n_max) -> list[BifurcationPoint]:
         raise _ArgumentError(f"k must lie in [1, {_MAX_N // 2}], got {k}")
     n_min = _as_int(n_min, "n_min", 2 * k, _MAX_N)
     n_max = _as_int(n_max, "n_max", n_min, _MAX_N)
-    lower_root = _lower_root
     # the supercritical n, (n - 2k)^2 > n, are every n > eta_c
     thr = critical_threshold(k)
     first = max(n_min, thr.n_c + thr.eta_is_integer)
-    if n_max - first + 1 >= _MIN_LANES:
-        import numpy as np
+    if n_max - first + 1 < _MIN_LANES:
+        return [_optimum(n, k) for n in range(n_min, n_max + 1)]
+    import numpy as np
 
-        roots = _lower_roots(np.arange(first, n_max + 1), k).tolist()
-
-        def lower_root(n, k):
-            return roots[n - first]
-
-    return [_optimum(n, k, lower_root) for n in range(n_min, n_max + 1)]
+    n = np.arange(n_min, n_max + 1)
+    cut = first - n_min
+    roots = _lower_roots(n[cut:], k)
+    weights = np.full((2, n.size), 0.5)
+    weights[1, cut:] = roots
+    p_half, p_low = _prob_cols(n, k, weights)[0]
+    # optimize_source's check, at every supercritical n at once
+    ok = (k / n[cut:] <= roots) & (roots < 0.5) & (p_low[cut:] > p_half[cut:])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _not_a_maximum(first + i, k, roots[i].item())
+    x, p_half, p_low = roots.tolist(), p_half[:cut].tolist(), p_low[cut:].tolist()
+    critical = thr.n_c if thr.eta_is_integer else None
+    points = [BifurcationPoint(n, k, Regime.CRITICAL if n == critical else Regime.SUBCRITICAL,
+                               ((0.5, p),)) for n, p in zip(range(n_min, first), p_half)]
+    points += [BifurcationPoint(n, k, Regime.SUPERCRITICAL, ((a, p), (1.0 - a, p)))
+               for n, a, p in zip(range(first, n_max + 1), x, p_low)]
+    return points
 
 
 def asymptotic_prob(k) -> float:

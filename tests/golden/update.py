@@ -66,8 +66,10 @@ INVOCATIONS = [
     f"prob --n {N_2_53} --k 1 --A 1.1102230246251565e-16",
     "bifurcation --k 3 --n 6 20",
     "bifurcation --k 2 --n 4 12 --format json",
+    "bifurcation --k 5 --n 10 150",  # batched roots: closed form and bisection both
     "decay --k 3 --n-max 40 --source epr",
     "decay --k 1 --n-max 30 --source epr --format json",
+    "decay --k 3 --n-max 200 --source optimal",  # batched roots: closed form and bisection both
     "simulate --n 12 --A 0.1 --runs 100000 --seed 7",
     "simulate --n 12 --A 0.1 --runs 5000 --seed 0xDEADBEEF --format csv",
     "simulate --n 800 --A 0.3 --runs 100000 --seed 11",

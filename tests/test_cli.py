@@ -77,7 +77,6 @@ class TestProb:
         def refuse(*args):
             raise AssertionError("a probability was computed")
 
-        monkeypatch.setattr(cli, "folded_prob", refuse)
         monkeypatch.setattr(cli, "raw_outcome_prob", refuse, raising=False)
         monkeypatch.setattr(cli, "_prob_cols", refuse)
         assert cli.main(["prob", "--n", "3", "--k", "1", "--sweep", "0", "1", "100001"]) == 2
@@ -134,7 +133,7 @@ class TestNSpanLimit:
             raise AssertionError("a probability was computed")
 
         monkeypatch.setattr(cli, "bifurcation_diagram", refuse)
-        monkeypatch.setattr(cli, "folded_prob", refuse)
+        monkeypatch.setattr(cli, "_prob_cols", refuse)
         return cli
 
     @pytest.mark.parametrize("argv", [

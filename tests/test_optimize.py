@@ -239,6 +239,22 @@ def first_supercritical(k):
     return thr.n_c + thr.eta_is_integer
 
 
+def v0(n, k):
+    """g's smooth part at k/n, (n - 2k) log(k/(n - k)) + log(n - 2k): the closed form's switch."""
+    return (n - 2 * k) * math.log(k / (n - k)) + math.log(n - 2 * k)
+
+
+def past_v0(k, level):
+    """The least n past v0's peak with v0(n, k) < level; v0 falls from n = 2k + isqrt(k) + 1 on."""
+    lo, hi = 2 * k + math.isqrt(k) + 1, 2 * k + 2
+    while v0(hi, k) >= level:
+        hi = 2 * hi - 2 * k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if v0(mid, k) < level else (mid, hi)
+    return hi
+
+
 def outcome(call):
     """call()'s value, or the type and message of what it raised."""
     try:
@@ -281,6 +297,19 @@ class TestBatchedBisection:
             k = int(math.exp(rng.uniform(math.log(1e3), math.log(2**50))))
             grid += [(n, k) for n in (critical_threshold(k).n_c + j for j in (0, 1, 2, 5))
                      if (n - 2 * k) ** 2 > n]
+        self.assert_batch_is_scalar(*zip(*grid))
+
+    def test_closed_form_switch(self):
+        # lanes on both sides of v0 = -40, where the roots switch from the bisection to the
+        # closed form; the two first part at v0 = -35.3, and a switch at -30 fails this
+        rng = random.Random(33)
+        grid = []
+        for _ in range(1500):
+            k = int(math.exp(rng.uniform(0.0, math.log(2**50))))
+            lo = past_v0(k, -32.0)
+            ns = range(lo, past_v0(k, -48.0))
+            grid += [(n, k) for n in (ns if len(ns) <= 40 else rng.sample(ns, 40))]
+        assert len(grid) > 40000
         self.assert_batch_is_scalar(*zip(*grid))
 
     @pytest.mark.parametrize("k,n_min,n_max", [

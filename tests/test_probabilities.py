@@ -26,6 +26,7 @@ from dickelift.probabilities import (
     _raw_law,
     _window,
 )
+from dickelift.optimize import _lower_roots
 from dickelift.statevector import build_state, measure_fock
 
 
@@ -116,6 +117,27 @@ class TestRawOutcomeProb:
         rows = [(_folded(n, k, a), *map(math.exp, _log_pair(n, k, a))) for a in weights.tolist()]
         assert [list(map(float.hex, row)) for row in zip(*_prob_cols(n, k, weights))] == \
             [list(map(float.hex, row)) for row in rows]
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 12345, 2**40, 2**51])
+    def test_column_kernel_over_an_array_of_n(self, k):
+        # a bifurcation grid's columns: n from the self-paired 2k on, P(1/2) at every n and
+        # P(x) at each supercritical n's root, here beside weights with mirrors and ends
+        n = np.unique(np.concatenate([2 * k + np.arange(300),
+                                      np.minimum(2**53, 2 * k + 4 ** np.arange(27))]))
+        sup = (n - 2 * k) ** 2 > n
+        roots = np.full(n.size, 0.5)
+        roots[sup] = _lower_roots(n[sup], k)
+        rng = np.random.default_rng(k)
+        other = rng.choice([0.0, 1.0, 0.25, np.nextafter(0.5, 0.0), k / 2**53], n.size)
+        weights = np.stack([np.full(n.size, 0.5), roots, other, rng.random(n.size)])
+        rows = [[(_folded(m, k, a), *map(math.exp, _log_pair(m, k, a)))
+                 for m, a in zip(n.tolist(), ws)] for ws in weights.tolist()]
+        cols = [col.tolist() for col in _prob_cols(n, k, weights)]
+        assert [[list(map(float.hex, entry)) for entry in zip(*row)] for row in zip(*cols)] == \
+            [[list(map(float.hex, entry)) for entry in row] for row in rows]
+        flat = [col.tolist() for col in _prob_cols(n, k, roots)]
+        assert [list(map(float.hex, entry)) for entry in zip(*flat)] == \
+            [list(map(float.hex, entry)) for entry in rows[1]]
 
     @given(n=st.integers(2, 64), p00=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
